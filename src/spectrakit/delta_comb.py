@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .durations import DurationSeries, SurvivalCurve, default_tau_grid, empirical_survival
-from .gof import KsReport, ks_compare
+from .gof import KsReport, best_by_pvalue, ks_compare
 
 __all__ = [
     "DeltaComb",
@@ -52,8 +51,8 @@ def fit_comb(series: DurationSeries, delta_t: float,
     to 1 exactly) unless drop_tail is set, in which case the remaining
     weights are renormalized.
     """
-    if delta_t <= 0:
-        raise ValueError(f"delta_t must be > 0, got {delta_t}")
+    if not (math.isfinite(delta_t) and delta_t > 0):
+        raise ValueError(f"delta_t must be finite and > 0, got {delta_t}")
     counts, sums = [], []
     cur_n, cur_t = 0, 0.0
     for tau in series.values:
@@ -99,13 +98,6 @@ def default_delta_t_grid(series: DurationSeries, n: int = 30) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SPECTRAKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def sweep_delta_t(series: DurationSeries, dts, taus=None,
                   n_eff: int | None = None):
     """Fit a comb per delta_t and rank by KS p-value against the data.
@@ -128,15 +120,8 @@ def sweep_delta_t(series: DurationSeries, dts, taus=None,
         report = ks_compare(comb_survival(comb, taus), empirical, n_eff)
         return comb, report
 
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, dts))
-    else:
-        results = [one(dt) for dt in dts]
-    best = max(range(len(results)),
-               key=lambda i: (results[i][1].p_value, results[i][0].delta_t))
-    return results, best
+    results = [one(dt) for dt in dts]
+    return results, best_by_pvalue([r for _, r in results], dts)
 
 
 def estimate_h(comb: DeltaComb, n: int, margin: float = 1.3) -> float:

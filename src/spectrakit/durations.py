@@ -74,7 +74,7 @@ class SurvivalCurve:
 
 
 def _parse_lines(source):
-    """Yield (lineno, float) for every data line, skipping '#' comments."""
+    """Yield the finite float on every data line, skipping '#' comments."""
     if isinstance(source, str):
         lines = source.splitlines()
     else:
@@ -84,9 +84,12 @@ def _parse_lines(source):
         if not line or line.startswith("#"):
             continue
         try:
-            yield lineno, float(line)
+            value = float(line)
         except ValueError:
             raise ValueError(f"line {lineno}: cannot parse {line!r} as a number") from None
+        if not math.isfinite(value):
+            raise ValueError(f"line {lineno}: {line!r} is not a finite number")
+        yield value
 
 
 def load_durations(source, mode: str = "durations",
@@ -105,11 +108,12 @@ def load_durations(source, mode: str = "durations",
         overnight session gaps).
 
     Non-positive entries (or differences) are dropped and counted in
-    ``dropped``.  Raises ValueError if nothing usable remains.
+    ``dropped``.  Raises ValueError on a non-finite number or if nothing
+    usable remains.
     """
     if mode not in ("durations", "timestamps"):
         raise ValueError(f"unknown mode {mode!r}")
-    numbers = np.array([x for _, x in _parse_lines(source)], dtype=float)
+    numbers = np.fromiter(_parse_lines(source), dtype=float)
     if mode == "timestamps":
         numbers = np.diff(numbers) if numbers.size > 1 else np.empty(0)
     keep = numbers > 0

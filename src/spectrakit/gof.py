@@ -9,7 +9,7 @@ import numpy as np
 
 from .durations import SurvivalCurve
 
-__all__ = ["KsReport", "ks_statistic", "ks_pvalue", "ks_compare"]
+__all__ = ["KsReport", "ks_statistic", "ks_pvalue", "ks_compare", "best_by_pvalue"]
 
 _SERIES_TOL = 1e-12
 _MAX_TERMS = 100
@@ -61,3 +61,8 @@ def ks_compare(a: SurvivalCurve, b: SurvivalCurve, n_eff: int) -> KsReport:
     """Statistic and p-value for two curves on the same grid."""
     d = ks_statistic(a, b)
     return KsReport(statistic=d, p_value=ks_pvalue(d, n_eff), n_eff=int(n_eff))
+
+
+def best_by_pvalue(reports, params) -> int:
+    """Index of the highest p-value; ties break toward the larger parameter."""
+    return max(range(len(reports)), key=lambda i: (reports[i].p_value, params[i]))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,8 @@ def assemble_kernel(h: float, n: int, n_tau: int | None = None) -> KernelMatrix:
     The default is the square n x n form (entry (i,j) = exp(-h*i*j));
     pass n_tau for a rectangular tau grid.
     """
-    if h <= 0:
-        raise ValueError(f"h must be > 0, got {h}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and > 0, got {h}")
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
     if n_tau is None:

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .durations import SurvivalCurve
-from .gof import KsReport, ks_compare
+from .gof import KsReport, best_by_pvalue, ks_compare
 from .kernel import KernelMatrix
 
 __all__ = [
@@ -24,9 +21,6 @@ __all__ = [
     "read_spectrum_csv",
     "write_mu_sweep_csv",
 ]
-
-THREADS_ENV = "SPECTRAKIT_THREADS"
-
 
 @dataclass(frozen=True)
 class SpectrumGrid:
@@ -93,28 +87,20 @@ def eval_objective(K, g, psi, mu: float) -> float:
     return float(r @ r + mu * (g @ g))
 
 
-def _solve_normal(A: np.ndarray, gram: np.ndarray, rhs: np.ndarray,
-                  mu: float) -> np.ndarray:
-    # SPD solve of (K^T K + mu I) g = K^T psi; no explicit inverse.
-    G = gram + mu * np.eye(gram.shape[0])
-    try:
-        factor = cho_factor(G, lower=True)
-    except LinAlgError as exc:
-        raise ValueError(
-            f"Tikhonov factorization failed at mu={mu:g}: "
-            f"normal matrix not numerically positive definite") from exc
-    return cho_solve(factor, rhs)
+def _check_mus(mus) -> np.ndarray:
+    mus = np.atleast_1d(np.asarray(mus, dtype=float))
+    bad = mus[~(np.isfinite(mus) & (mus > 0))]
+    if bad.size:
+        raise ValueError(f"mu must be finite and > 0, got {bad[0]:g}")
+    return mus
 
 
-def solve_tikhonov(K, psi, mu: float, n_eff: int | None = None) -> TikhonovSolution:
-    """Minimize ||Kg - Psi||^2 + mu*||g||^2 and rebuild the survival curve.
+def _factor(K, psi, n_eff):
+    """Take the SVD of K once; return the per-mu solver mu -> TikhonovSolution.
 
-    ``psi`` must be sampled on the kernel's tau grid.  The KS report
-    compares the rebuilt curve against ``psi`` with effective sample
-    size n_eff (default: the curve's n_source, or 1 if analytic).
+    With K = U diag(s) V^T and c = U^T psi, the minimizer for any mu is
+    g = V diag(s / (s^2 + mu)) c (the filter-factor form).
     """
-    if mu <= 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
     A = _as_matrix(K)
     b = _as_psi(psi)
     if A.shape[0] != b.size:
@@ -123,7 +109,6 @@ def solve_tikhonov(K, psi, mu: float, n_eff: int | None = None) -> TikhonovSolut
     if isinstance(K, KernelMatrix) and isinstance(psi, SurvivalCurve):
         if not np.array_equal(K.taus, psi.taus):
             raise ValueError("psi is not sampled on the kernel's tau grid")
-    g = _solve_normal(A, A.T @ A, A.T @ b, mu)
 
     if isinstance(K, KernelMatrix):
         lambdas, taus = K.lambdas, K.taus
@@ -136,12 +121,31 @@ def solve_tikhonov(K, psi, mu: float, n_eff: int | None = None) -> TikhonovSolut
             n_eff = max(psi.n_source, 1)
     elif n_eff is None:
         n_eff = 1
-
-    spectrum = SpectrumGrid.from_arrays(lambdas, g)
-    rebuilt = SurvivalCurve(taus=taus, psi=A @ g, n_source=0)
     empirical = psi if isinstance(psi, SurvivalCurve) else SurvivalCurve(taus=taus, psi=b)
-    return TikhonovSolution(mu=float(mu), spectrum=spectrum, rebuilt=rebuilt,
-                            ks=ks_compare(rebuilt, empirical, n_eff))
+
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    c = U.T @ b
+
+    def solve(mu) -> TikhonovSolution:
+        g = Vt.T @ (s / (s * s + mu) * c)
+        rebuilt = SurvivalCurve(taus=taus, psi=A @ g, n_source=0)
+        return TikhonovSolution(mu=float(mu),
+                                spectrum=SpectrumGrid.from_arrays(lambdas, g),
+                                rebuilt=rebuilt,
+                                ks=ks_compare(rebuilt, empirical, n_eff))
+
+    return solve
+
+
+def solve_tikhonov(K, psi, mu: float, n_eff: int | None = None) -> TikhonovSolution:
+    """Minimize ||Kg - Psi||^2 + mu*||g||^2 and rebuild the survival curve.
+
+    ``psi`` must be sampled on the kernel's tau grid.  The KS report
+    compares the rebuilt curve against ``psi`` with effective sample
+    size n_eff (default: the curve's n_source, or 1 if analytic).
+    """
+    (mu,) = _check_mus(mu)
+    return _factor(K, psi, n_eff)(mu)
 
 
 def default_mu_grid(n: int = 200, lo: float = 1e-6, hi: float = 1e2) -> np.ndarray:
@@ -149,45 +153,20 @@ def default_mu_grid(n: int = 200, lo: float = 1e-6, hi: float = 1e2) -> np.ndarr
     return np.geomspace(lo, hi, n)
 
 
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def sweep_mu(K, psi, mus, n_eff: int | None = None):
-    """Solve for every mu and rank by KS p-value of the rebuilt curve.
+    """Solve for every mu from one SVD of K and rank by KS p-value.
 
-    Returns (solutions, best_index) with solutions in input mu order.
+    Returns (solutions, best_index) with solutions in input mu order;
+    solutions[i] equals solve_tikhonov(K, psi, mus[i]) to the bit.
     Ties in p-value break toward larger mu (stronger regularization).
-    Failed factorizations are recorded as None and excluded from the
-    argmax; if every mu fails, raises the last error.
+    Every mu must be finite and > 0.
     """
-    mus = list(np.atleast_1d(np.asarray(mus, dtype=float)))
-    if not mus:
+    mus = _check_mus(mus)
+    if mus.size == 0:
         raise ValueError("mu sweep is empty")
-
-    def attempt(mu):
-        try:
-            return solve_tikhonov(K, psi, mu, n_eff=n_eff)
-        except ValueError as exc:
-            return exc
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(attempt, mus))
-    else:
-        results = [attempt(mu) for mu in mus]
-
-    solutions = [r if isinstance(r, TikhonovSolution) else None for r in results]
-    valid = [i for i, s in enumerate(solutions) if s is not None]
-    if not valid:
-        raise ValueError(f"all mu values failed; last error: "
-                         f"{next(r for r in reversed(results) if isinstance(r, Exception))}")
-    best = max(valid, key=lambda i: (solutions[i].ks.p_value, solutions[i].mu))
-    return solutions, best
+    solve = _factor(K, psi, n_eff)
+    solutions = [solve(mu) for mu in mus]
+    return solutions, best_by_pvalue([s.ks for s in solutions], mus)
 
 
 def write_spectrum_csv(spectrum: SpectrumGrid, stream) -> None:
@@ -216,8 +195,6 @@ def write_mu_sweep_csv(solutions, stream) -> None:
     """Per-mu report: mu,ks_statistic,ks_pvalue,neg_mass,total_mass."""
     stream.write("mu,ks_statistic,ks_pvalue,neg_mass,total_mass\n")
     for sol in solutions:
-        if sol is None:
-            continue
         stream.write(f"{sol.mu:.12g},{sol.ks.statistic:.12g},"
                      f"{sol.ks.p_value:.12g},{sol.spectrum.negative_mass:.12g},"
                      f"{sol.spectrum.total_mass:.12g}\n")

@@ -138,8 +138,9 @@ def test_tikhonov_rejects_bad_h(tmp_path):
     raw = tmp_path / "d.txt"
     raw.write_text("1\n2\n3\n")
     prefix = str(tmp_path / "tk")
-    assert run(["tikhonov", "--input", str(raw), "--h", "-1", "-o", prefix]) == 1
-    assert not (tmp_path / "tk_sweep.csv").exists()
+    for h in ("-1", "nan", "inf"):
+        assert run(["tikhonov", "--input", str(raw), "--h", h, "-o", prefix]) == 1
+        assert not (tmp_path / "tk_sweep.csv").exists()
 
 
 def test_comb_constant_durations(tmp_path):
@@ -160,8 +161,10 @@ def test_comb_constant_durations(tmp_path):
 def test_comb_rejects_zero_dt(tmp_path):
     data = tmp_path / "d.txt"
     data.write_text("1\n2\n3\n")
-    assert run(["comb", "--input", str(data), "--dt", "0",
-                "-o", str(tmp_path / "cb")]) == 1
+    for dt in ("0", "nan", "inf", "5,nan"):
+        assert run(["comb", "--input", str(data), "--dt", dt,
+                    "-o", str(tmp_path / "cb")]) == 1
+        assert not (tmp_path / "cb_sweep.csv").exists()
 
 
 def test_comb_default_sweep_poisson(tmp_path):
@@ -176,6 +179,16 @@ def test_comb_default_sweep_poisson(tmp_path):
     assert sum(p > 0.01 for p in ps) >= len(ps) // 2
     root = ET.fromstring((tmp_path / "cb_fit.svg").read_text())
     assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 2
+
+
+def test_survival_rejects_non_finite_duration(tmp_path, capsys):
+    for bad in ("inf", "nan"):
+        data = tmp_path / "d.txt"
+        data.write_text(f"1\n{bad}\n2\n")
+        out = tmp_path / "s.csv"
+        assert run(["survival", "--input", str(data), "-o", str(out)]) == 1
+        assert not out.exists()
+        assert "line 2" in capsys.readouterr().err
 
 
 def test_missing_input_file(tmp_path):

@@ -70,6 +70,9 @@ def test_fit_comb_rejects_bad_delta_t():
         fit_comb(series, 0.0)
     with pytest.raises(ValueError):
         fit_comb(series, -3.0)
+    for dt in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            fit_comb(series, dt)
 
 
 def test_exponential_rate_recovery():

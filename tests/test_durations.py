@@ -39,8 +39,11 @@ def test_load_durations_max_duration_cap():
 
 
 def test_load_durations_unparsable_line_cites_lineno():
-    with pytest.raises(ValueError, match="line 2"):
-        load_durations("1\nfoo\n2\n")
+    for bad in ("foo", "inf", "nan", "-inf"):
+        with pytest.raises(ValueError, match="line 2"):
+            load_durations(f"1\n{bad}\n2\n")
+        with pytest.raises(ValueError, match="line 3"):
+            load_durations(f"# t\n0\n{bad}\n", mode="timestamps")
 
 
 def test_load_durations_empty_result():

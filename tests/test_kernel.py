@@ -55,6 +55,9 @@ def test_parameter_validation():
         assemble_kernel(-1.0, 5)
     with pytest.raises(ValueError):
         assemble_kernel(0.0, 5)
+    for h in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            assemble_kernel(h, 5)
     with pytest.raises(ValueError):
         assemble_kernel(0.1, 0)
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 
 from spectrakit import (SurvivalCurve, assemble_kernel, empirical_survival,
                         eval_objective, solve_tikhonov, sweep_mu)
+from spectrakit.cli import main
 from spectrakit.tikhonov import (default_mu_grid, read_spectrum_csv,
                                  write_mu_sweep_csv, write_spectrum_csv)
 
@@ -78,6 +79,16 @@ def test_first_order_optimality_random_instances():
         g = sol.spectrum.masses
         grad = 2 * A.T @ (A @ g - b) + 2 * mu * g
         assert np.linalg.norm(grad) < 1e-8 * (1 + np.linalg.norm(A.T @ b))
+
+
+def test_ill_conditioned_kernel_matches_extended_precision_oracle():
+    # cond(K) ~ 2.5e18: the normal equations would square it
+    K = assemble_kernel(0.0015, 40)
+    psi = np.exp(-K.taus / 8.85)
+    for mu in (1e-6, 1e-2, 1e2):
+        g = solve_tikhonov(K, psi, mu).spectrum.masses
+        ref = oracle_solve(K.entries, psi, mu)
+        assert np.linalg.norm(g - ref) < 1e-10 * np.linalg.norm(ref)
 
 
 def test_minimality_under_perturbation():
@@ -159,6 +170,41 @@ def test_sweep_preserves_input_order_and_scores():
     solutions, best = sweep_mu(K, curve, mus)
     assert [s.mu for s in solutions] == mus
     assert solutions[best].ks.p_value == max(s.ks.p_value for s in solutions)
+
+
+def test_sweep_matches_single_solves_bitwise():
+    K = assemble_kernel(0.0015, 60)
+    rng = np.random.default_rng(15)
+    from spectrakit import DurationSeries
+    curve = empirical_survival(DurationSeries.from_values(rng.exponential(8.85, 5000)),
+                               K.taus)
+    mus = default_mu_grid(25)
+    solutions, _ = sweep_mu(K, curve, mus)
+    for sol, mu in zip(solutions, mus):
+        single = solve_tikhonov(K, curve, mu)
+        assert sol.mu == single.mu
+        assert np.array_equal(sol.spectrum.masses, single.spectrum.masses)
+        assert np.array_equal(sol.rebuilt.psi, single.rebuilt.psi)
+        assert sol.ks == single.ks
+
+
+def test_sweep_rejects_bad_mu():
+    K = assemble_kernel(0.05, 10)
+    curve = SurvivalCurve(taus=K.taus, psi=np.exp(-K.taus / 2.0), n_source=50)
+    for mus in ([0.0, 0.1], [0.1, float("nan")], [0.1, float("inf")], [-1.0]):
+        with pytest.raises(ValueError, match="mu"):
+            sweep_mu(K, curve, mus)
+    with pytest.raises(ValueError, match="empty"):
+        sweep_mu(K, curve, [])
+
+
+def test_cli_rejects_zero_mu_before_writing(tmp_path):
+    raw = tmp_path / "d.txt"
+    raw.write_text("1\n2\n3\n")
+    prefix = str(tmp_path / "tk")
+    assert main(["tikhonov", "--input", str(raw), "--n", "10",
+                 "--mu", "0,0.1", "-o", prefix]) == 1
+    assert not (tmp_path / "tk_sweep.csv").exists()
 
 
 def test_default_mu_grid():
