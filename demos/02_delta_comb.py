@@ -38,10 +38,11 @@ taus = np.arange(1.0, 120.0)
 dts = np.geomspace(100, 20000, 20)
 results, best = sk.sweep_delta_t(series, dts, taus=taus)
 print("\n delta_t      M    KS stat      KS p")
-for comb, rep in results[::4]:
-    print(f"{comb.delta_t:9.1f} {comb.m:6d}    {rep.statistic:.5f}  {rep.p_value:.3g}")
+for r in results[::4]:
+    print(f"{r.comb.delta_t:9.1f} {r.comb.m:6d}    "
+          f"{r.ks.statistic:.5f}  {r.ks.p_value:.3g}")
 
-comb, rep = results[best]
+comb, rep = results[best].comb, results[best].ks
 print(f"\nbest delta_t = {comb.delta_t:.1f} s  (M = {comb.m} windows, "
       f"KS stat = {rep.statistic:.5f}, p = {rep.p_value:.3g})")
 

@@ -32,7 +32,7 @@ print(f"spectrum mass centroid = {sol.spectrum.mass_centroid:.4f} 1/s "
 
 results, cb_best = sk.sweep_delta_t(series, sk.default_delta_t_grid(series),
                                     taus=K.taus)
-comb_curve = sk.comb_survival(results[cb_best][0], K.taus)
+comb_curve = results[cb_best].rebuilt
 print(f"\ncross-check, sup-distances on the tau grid:")
 print(f"  Tikhonov rebuilt vs empirical: "
       f"{np.max(np.abs(sol.rebuilt.psi - curve.psi)):.4f}")

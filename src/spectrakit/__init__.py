@@ -9,7 +9,7 @@ scored by a Kolmogorov-Smirnov criterion; seeded synthetic generators
 calibration.
 """
 
-from .delta_comb import (DeltaComb, comb_survival, default_delta_t_grid,
+from .delta_comb import (CombSolution, DeltaComb, comb_survival, default_delta_t_grid,
                          estimate_h, fit_comb, sweep_delta_t)
 from .durations import (DurationSeries, SurvivalCurve, default_tau_grid,
                         empirical_survival, load_durations)
@@ -29,8 +29,8 @@ __all__ = [
     "KsReport", "ks_statistic", "ks_pvalue", "ks_compare",
     "SpectrumGrid", "TikhonovSolution", "eval_objective", "solve_tikhonov",
     "sweep_mu", "default_mu_grid",
-    "DeltaComb", "fit_comb", "comb_survival", "sweep_delta_t", "estimate_h",
-    "default_delta_t_grid",
+    "DeltaComb", "CombSolution", "fit_comb", "comb_survival", "sweep_delta_t",
+    "estimate_h", "default_delta_t_grid",
     "MixtureSpec", "MlParams", "gen_mixture", "gen_mittag_leffler",
     "ml_survival",
 ]

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import delta_comb, svgplot, synthetic, tikhonov
 from .durations import (default_tau_grid, empirical_survival, load_durations,
-                        write_survival_csv)
+                        write_survival_csv, write_table)
 from .kernel import assemble_kernel
 
 
@@ -30,10 +30,10 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _csv_text(writer, *args) -> str:
+def _write_csv(path: str, writer, data) -> None:
     sink = io.StringIO()
-    writer(*args, sink)
-    return sink.getvalue()
+    writer(data, sink)
+    _atomic_write(path, sink.getvalue())
 
 
 def parse_value_list(text: str) -> np.ndarray:
@@ -75,14 +75,34 @@ def parse_mixture(text: str) -> synthetic.MixtureSpec:
 
 def _load_series(args):
     with open(args.input, encoding="utf-8") as fh:
-        return load_durations(fh, mode=args.mode,
-                              max_duration=getattr(args, "max_duration", None))
+        return load_durations(fh, mode=args.mode, max_duration=args.max_duration)
 
 
 def _echo(args, pairs) -> None:
     print(f"# spectrakit {args.command}")
     for key, value in pairs:
         print(f"# {key} = {value}")
+
+
+def _warn_if_edge(name: str, grid, best: int) -> None:
+    edge = {grid.min(): "lower", grid.max(): "upper"}.get(grid[best])
+    if grid.size >= 2 and edge:
+        print(f"warning: best {name} = {grid[best]:g} is at the {edge} edge of its "
+              f"{grid.size}-point grid", file=sys.stderr)
+
+
+def _plot_sweep(prefix, grid, solutions, best, empirical, *,
+                name, short, xlabel, title, label) -> None:
+    """Write <prefix>_ks_vs_<short>.svg (KS p over the grid) and <prefix>_fit.svg."""
+    svg = svgplot.line_plot_svg(
+        [(grid, np.array([s.ks.p_value for s in solutions]), "KS probability")],
+        title=f"KS probability vs {name}", xlabel=xlabel, ylabel="p", log_x=True)
+    _atomic_write(f"{prefix}_ks_vs_{short}.svg", svg)
+    svg = svgplot.line_plot_svg(
+        [(empirical.taus, empirical.psi, "empirical"),
+         (empirical.taus, solutions[best].rebuilt.psi, label)],
+        title=title, xlabel="tau [s]", ylabel="Psi", log_y=True)
+    _atomic_write(f"{prefix}_fit.svg", svg)
 
 
 def cmd_gen(args) -> None:
@@ -114,7 +134,7 @@ def cmd_survival(args) -> None:
     taus = (parse_value_list(args.grid) if args.grid
             else default_tau_grid(series))
     curve = empirical_survival(series, taus)
-    _atomic_write(args.out, _csv_text(write_survival_csv, curve))
+    _write_csv(args.out, write_survival_csv, curve)
     _echo(args, [("input", args.input), ("n", series.n),
                  ("mean", f"{series.mean:.6g}"), ("tau_max", f"{series.max:g}"),
                  ("dropped", series.dropped), ("out", args.out)])
@@ -134,7 +154,7 @@ def cmd_tikhonov(args) -> None:
         results, best = delta_comb.sweep_delta_t(
             series, delta_comb.default_delta_t_grid(series),
             taus=np.arange(1.0, args.n + 1))
-        h = delta_comb.estimate_h(results[best][0], args.n)
+        h = delta_comb.estimate_h(results[best].comb, args.n)
     else:
         h = args.h
     K = assemble_kernel(h, args.n)
@@ -143,33 +163,24 @@ def cmd_tikhonov(args) -> None:
     solutions, best = tikhonov.sweep_mu(K, curve, mus)
     sol = solutions[best]
 
-    _atomic_write(args.out_prefix + "_sweep.csv",
-                  _csv_text(tikhonov.write_mu_sweep_csv, solutions))
-    _atomic_write(args.out_prefix + "_spectrum.csv",
-                  _csv_text(tikhonov.write_spectrum_csv, sol.spectrum))
-    fit_rows = ["tau,psi_empirical,psi_rebuilt"]
-    fit_rows += [f"{t:g},{pe:.6f},{pr:.6f}" for t, pe, pr
-                 in zip(K.taus, curve.psi, sol.rebuilt.psi)]
-    _atomic_write(args.out_prefix + "_survival.csv", "\n".join(fit_rows) + "\n")
+    _write_csv(args.out_prefix + "_sweep.csv", tikhonov.write_mu_sweep_csv, solutions)
+    _write_csv(args.out_prefix + "_spectrum.csv", tikhonov.write_spectrum_csv,
+               sol.spectrum)
+    _write_csv(args.out_prefix + "_survival.csv",
+               lambda rows, sink: write_table(sink, "tau,psi_empirical,psi_rebuilt",
+                                              "{:g},{:.6f},{:.6f}", rows),
+               zip(K.taus, curve.psi, sol.rebuilt.psi))
     _echo(args, [("input", args.input), ("h", f"{h:g}"), ("n", args.n),
                  ("mu_count", len(solutions)), ("best_mu", f"{sol.mu:g}"),
                  ("ks_statistic", f"{sol.ks.statistic:.6g}"),
                  ("ks_pvalue", f"{sol.ks.p_value:.6g}"),
                  ("total_mass", f"{sol.spectrum.total_mass:.6g}"),
                  ("neg_mass", f"{sol.spectrum.negative_mass:.6g}")])
+    _warn_if_edge("mu", mus, best)
     if args.plot:
-        svg = svgplot.line_plot_svg(
-            [(np.array([s.mu for s in solutions]),
-              np.array([s.ks.p_value for s in solutions]), "KS probability")],
-            title="KS probability vs mu", xlabel="mu", ylabel="p",
-            log_x=True)
-        _atomic_write(args.out_prefix + "_ks_vs_mu.svg", svg)
-        svg = svgplot.line_plot_svg(
-            [(K.taus, curve.psi, "empirical"),
-             (K.taus, sol.rebuilt.psi, f"rebuilt mu={sol.mu:.3g}")],
-            title="Rebuilt survival function", xlabel="tau [s]", ylabel="Psi",
-            log_y=True)
-        _atomic_write(args.out_prefix + "_fit.svg", svg)
+        _plot_sweep(args.out_prefix, mus, solutions, best, curve,
+                    name="mu", short="mu", xlabel="mu",
+                    title="Rebuilt survival function", label=f"rebuilt mu={sol.mu:.3g}")
 
 
 def cmd_comb(args) -> None:
@@ -179,31 +190,22 @@ def cmd_comb(args) -> None:
     taus = (parse_value_list(args.grid) if args.grid
             else default_tau_grid(series))
     results, best = delta_comb.sweep_delta_t(series, dts, taus=taus)
-    comb, report = results[best]
+    comb, report = results[best].comb, results[best].ks
 
-    _atomic_write(args.out_prefix + "_sweep.csv",
-                  _csv_text(delta_comb.write_delta_t_sweep_csv, results))
-    _atomic_write(args.out_prefix + "_comb.csv",
-                  _csv_text(delta_comb.write_comb_csv, comb))
+    _write_csv(args.out_prefix + "_sweep.csv", delta_comb.write_delta_t_sweep_csv,
+               results)
+    _write_csv(args.out_prefix + "_comb.csv", delta_comb.write_comb_csv, comb)
     _echo(args, [("input", args.input), ("dt_count", len(results)),
                  ("best_delta_t", f"{comb.delta_t:g}"), ("m", comb.m),
                  ("ks_statistic", f"{report.statistic:.6g}"),
                  ("ks_pvalue", f"{report.p_value:.6g}")])
+    _warn_if_edge("delta_t", dts, best)
     if args.plot:
-        curve = empirical_survival(series, taus)
-        rebuilt = delta_comb.comb_survival(comb, taus)
-        svg = svgplot.line_plot_svg(
-            [(np.array([c.delta_t for c, _ in results]),
-              np.array([r.p_value for _, r in results]), "KS probability")],
-            title="KS probability vs delta_t", xlabel="delta_t [s]",
-            ylabel="p", log_x=True)
-        _atomic_write(args.out_prefix + "_ks_vs_dt.svg", svg)
-        svg = svgplot.line_plot_svg(
-            [(taus, curve.psi, "empirical"),
-             (taus, rebuilt.psi, f"comb dT={comb.delta_t:.3g}")],
-            title="Delta-comb survival function", xlabel="tau [s]",
-            ylabel="Psi", log_y=True)
-        _atomic_write(args.out_prefix + "_fit.svg", svg)
+        _plot_sweep(args.out_prefix, dts, results, best,
+                    empirical_survival(series, taus),
+                    name="delta_t", short="dt", xlabel="delta_t [s]",
+                    title="Delta-comb survival function",
+                    label=f"comb dT={comb.delta_t:.3g}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,6 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spectrakit",
         description="Activity-spectrum estimation from waiting-time data")
     sub = parser.add_subparsers(dest="command", required=True)
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--input", required=True)
+    data.add_argument("--mode", choices=["durations", "timestamps"],
+                      default="durations")
+    data.add_argument("--max-duration", type=float, default=None)
 
     p = sub.add_parser("gen", help="generate synthetic duration data")
     p.add_argument("--exp", type=float, metavar="RATE",
@@ -226,21 +233,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("survival", help="empirical survival function CSV")
-    p.add_argument("--input", required=True)
-    p.add_argument("--mode", choices=["durations", "timestamps"],
-                   default="durations")
-    p.add_argument("--max-duration", type=float, default=None)
+    p = sub.add_parser("survival", parents=[data],
+                       help="empirical survival function CSV")
     p.add_argument("--grid", help="tau grid as list or lo:hi:count[,log|lin]")
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--plot", metavar="SVG")
     p.set_defaults(func=cmd_survival)
 
-    p = sub.add_parser("tikhonov", help="regularized spectrum inversion")
-    p.add_argument("--input", required=True)
-    p.add_argument("--mode", choices=["durations", "timestamps"],
-                   default="durations")
-    p.add_argument("--max-duration", type=float, default=None)
+    p = sub.add_parser("tikhonov", parents=[data],
+                       help="regularized spectrum inversion")
     p.add_argument("--h", type=float, default=0.0015,
                    help="lambda grid spacing [1/s]")
     p.add_argument("--n", type=int, default=196, help="kernel grid size")
@@ -251,11 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=cmd_tikhonov)
 
-    p = sub.add_parser("comb", help="delta-comb spectrum estimation")
-    p.add_argument("--input", required=True)
-    p.add_argument("--mode", choices=["durations", "timestamps"],
-                   default="durations")
-    p.add_argument("--max-duration", type=float, default=None)
+    p = sub.add_parser("comb", parents=[data],
+                       help="delta-comb spectrum estimation")
     p.add_argument("--dt", help="delta_t list or lo:hi:count[,log|lin]")
     p.add_argument("--grid", help="tau grid for the KS comparison")
     p.add_argument("-o", "--out-prefix", required=True)

@@ -7,11 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .durations import DurationSeries, SurvivalCurve, default_tau_grid, empirical_survival
+from .durations import (DurationSeries, SurvivalCurve, default_tau_grid,
+                        empirical_survival, read_table, write_table)
 from .gof import KsReport, best_by_pvalue, ks_compare
 
 __all__ = [
     "DeltaComb",
+    "CombSolution",
     "fit_comb",
     "comb_survival",
     "sweep_delta_t",
@@ -38,6 +40,15 @@ class DeltaComb:
     delta_t: float
     window_counts: np.ndarray
     window_sums: np.ndarray
+
+
+@dataclass(frozen=True)
+class CombSolution:
+    """One point of a delta_t sweep: the comb, its survival curve and KS score."""
+
+    comb: DeltaComb
+    rebuilt: SurvivalCurve
+    ks: KsReport
 
 
 def fit_comb(series: DurationSeries, delta_t: float,
@@ -102,9 +113,8 @@ def sweep_delta_t(series: DurationSeries, dts, taus=None,
                   n_eff: int | None = None):
     """Fit a comb per delta_t and rank by KS p-value against the data.
 
-    Returns (results, best_index) where results[i] is a
-    (DeltaComb, KsReport) pair, in input order.  Ties in p-value break
-    toward larger delta_t.
+    Returns (results, best_index) with one CombSolution per delta_t, in
+    input order.  Ties in p-value break toward larger delta_t.
     """
     dts = list(np.atleast_1d(np.asarray(dts, dtype=float)))
     if not dts:
@@ -115,13 +125,13 @@ def sweep_delta_t(series: DurationSeries, dts, taus=None,
     if n_eff is None:
         n_eff = series.n
 
-    def one(dt):
+    def one(dt) -> CombSolution:
         comb = fit_comb(series, dt)
-        report = ks_compare(comb_survival(comb, taus), empirical, n_eff)
-        return comb, report
+        rebuilt = comb_survival(comb, taus)
+        return CombSolution(comb, rebuilt, ks_compare(rebuilt, empirical, n_eff))
 
     results = [one(dt) for dt in dts]
-    return results, best_by_pvalue([r for _, r in results], dts)
+    return results, best_by_pvalue([r.ks for r in results], dts)
 
 
 def estimate_h(comb: DeltaComb, n: int, margin: float = 1.3) -> float:
@@ -137,44 +147,31 @@ def estimate_h(comb: DeltaComb, n: int, margin: float = 1.3) -> float:
     return margin * float(comb.rates.max()) / n
 
 
+_COMB_HEADER = "lambda,weight,window_count,window_sum"
+
+
 def write_comb_csv(comb: DeltaComb, stream) -> None:
     stream.write(f"# delta_t={comb.delta_t:.12g}\n")
-    stream.write("lambda,weight,window_count,window_sum\n")
-    for lam, w, c, t in zip(comb.rates, comb.weights,
-                            comb.window_counts, comb.window_sums):
-        stream.write(f"{lam:.12g},{w:.12g},{c:d},{t:.12g}\n")
+    write_table(stream, _COMB_HEADER, "{:.12g},{:.12g},{:d},{:.12g}",
+                zip(comb.rates, comb.weights, comb.window_counts, comb.window_sums))
 
 
 def read_comb_csv(stream) -> DeltaComb:
-    delta_t = float("nan")
-    rows = []
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if line.startswith("# delta_t="):
-            delta_t = float(line.split("=", 1)[1])
-            continue
-        if not line or line.startswith("#") or line.startswith("lambda"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"line {lineno}: expected 4 comb columns")
-        rows.append((float(parts[0]), float(parts[1]), int(parts[2]), float(parts[3])))
-    if not rows:
-        raise ValueError("empty comb CSV")
-    rates, weights, counts, sums = zip(*rows)
-    return DeltaComb(
-        weights=np.array(weights),
-        rates=np.array(rates),
-        m=len(rows),
-        delta_t=delta_t,
-        window_counts=np.array(counts, dtype=int),
-        window_sums=np.array(sums),
-    )
+    lines = list(stream)
+    delta_t = next((float(line.split("=", 1)[1]) for line in lines
+                    if line.strip().startswith("# delta_t=")), math.nan)
+    if not (math.isfinite(delta_t) and delta_t > 0):
+        raise ValueError(f"comb CSV needs a '# delta_t=' line > 0, got {delta_t:g}")
+    rates, weights, counts, sums = read_table(lines, _COMB_HEADER).T
+    if np.any(counts != np.floor(counts)):
+        raise ValueError("window_count must hold whole numbers")
+    return DeltaComb(weights=weights, rates=rates, m=rates.size, delta_t=delta_t,
+                     window_counts=counts.astype(int), window_sums=sums)
 
 
 def write_delta_t_sweep_csv(results, stream) -> None:
     """Per-delta_t report: delta_t,m,ks_statistic,ks_pvalue."""
-    stream.write("delta_t,m,ks_statistic,ks_pvalue\n")
-    for comb, report in results:
-        stream.write(f"{comb.delta_t:.12g},{comb.m:d},"
-                     f"{report.statistic:.12g},{report.p_value:.12g}\n")
+    write_table(stream, "delta_t,m,ks_statistic,ks_pvalue",
+                "{:.12g},{:d},{:.12g},{:.12g}",
+                ((r.comb.delta_t, r.comb.m, r.ks.statistic, r.ks.p_value)
+                 for r in results))

@@ -15,6 +15,8 @@ __all__ = [
     "default_tau_grid",
     "write_survival_csv",
     "read_survival_csv",
+    "write_table",
+    "read_table",
 ]
 
 
@@ -67,6 +69,8 @@ class SurvivalCurve:
             raise ValueError("tau grid must be a non-empty 1-d array")
         if taus.size != psi.size:
             raise ValueError("taus and psi must have the same length")
+        if not (np.all(np.isfinite(taus)) and np.all(np.isfinite(psi))):
+            raise ValueError("taus and psi must be finite")
         if np.any(np.diff(taus) <= 0):
             raise ValueError("tau grid must be strictly increasing")
         object.__setattr__(self, "taus", taus)
@@ -148,23 +152,42 @@ def empirical_survival(series: DurationSeries, taus) -> SurvivalCurve:
     return SurvivalCurve(taus=taus, psi=counts / series.n, n_source=series.n)
 
 
+def write_table(stream, header: str, fmt: str, rows) -> None:
+    """Write a CSV table: the header line, then fmt.format(*row) per row."""
+    line = fmt + "\n"
+    stream.write(header + "\n" + "".join([line.format(*row) for row in rows]))
+
+
+def read_table(lines, header: str) -> np.ndarray:
+    """Read the rows of a CSV table as a 2-d float array.
+
+    Skips blank lines, '#' comments and header lines (those starting with
+    the header's first column name).  Raises ValueError("line N: ...") on
+    a row that is not one finite number per column of ``header``.
+    """
+    names = header.split(",")
+    rows = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith(("#", names[0])):
+            continue
+        try:
+            row = [float(cell) for cell in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != len(names) or not all(map(math.isfinite, row)):
+            raise ValueError(f"line {lineno}: expected {len(names)} finite numbers "
+                             f"({header}), got {line!r}")
+        rows.append(row)
+    if not rows:
+        raise ValueError(f"empty CSV table, expected {header!r} rows")
+    return np.array(rows)
+
+
 def write_survival_csv(curve: SurvivalCurve, stream) -> None:
-    stream.write("tau,psi\n")
-    for tau, psi in zip(curve.taus, curve.psi):
-        stream.write(f"{tau:g},{psi:.6f}\n")
+    write_table(stream, "tau,psi", "{:g},{:.6f}", zip(curve.taus, curve.psi))
 
 
 def read_survival_csv(stream, n_source: int = 0) -> SurvivalCurve:
-    rows = []
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("tau"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'tau,psi'")
-        rows.append((float(parts[0]), float(parts[1])))
-    if not rows:
-        raise ValueError("empty survival CSV")
-    taus, psi = map(np.array, zip(*rows))
+    taus, psi = read_table(stream, "tau,psi").T
     return SurvivalCurve(taus=taus, psi=psi, n_source=n_source)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .durations import SurvivalCurve
+from .durations import SurvivalCurve, read_table, write_table
 from .gof import KsReport, best_by_pvalue, ks_compare
 from .kernel import KernelMatrix
 
@@ -170,31 +170,18 @@ def sweep_mu(K, psi, mus, n_eff: int | None = None):
 
 
 def write_spectrum_csv(spectrum: SpectrumGrid, stream) -> None:
-    stream.write("lambda,g\n")
-    for lam, g in zip(spectrum.lambdas, spectrum.masses):
-        stream.write(f"{lam:.12g},{g:.12g}\n")
+    write_table(stream, "lambda,g", "{:.12g},{:.12g}",
+                zip(spectrum.lambdas, spectrum.masses))
 
 
 def read_spectrum_csv(stream) -> SpectrumGrid:
-    rows = []
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("lambda"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'lambda,g'")
-        rows.append((float(parts[0]), float(parts[1])))
-    if not rows:
-        raise ValueError("empty spectrum CSV")
-    lambdas, masses = map(np.array, zip(*rows))
+    lambdas, masses = read_table(stream, "lambda,g").T
     return SpectrumGrid.from_arrays(lambdas, masses)
 
 
 def write_mu_sweep_csv(solutions, stream) -> None:
     """Per-mu report: mu,ks_statistic,ks_pvalue,neg_mass,total_mass."""
-    stream.write("mu,ks_statistic,ks_pvalue,neg_mass,total_mass\n")
-    for sol in solutions:
-        stream.write(f"{sol.mu:.12g},{sol.ks.statistic:.12g},"
-                     f"{sol.ks.p_value:.12g},{sol.spectrum.negative_mass:.12g},"
-                     f"{sol.spectrum.total_mass:.12g}\n")
+    write_table(stream, "mu,ks_statistic,ks_pvalue,neg_mass,total_mass",
+                "{:.12g},{:.12g},{:.12g},{:.12g},{:.12g}",
+                ((s.mu, s.ks.statistic, s.ks.p_value, s.spectrum.negative_mass,
+                  s.spectrum.total_mass) for s in solutions))

@@ -151,7 +151,7 @@ def test_criterion_6_method_cross_validation():
     tik = solutions[best]
     results, cb_best = sk.sweep_delta_t(series, sk.default_delta_t_grid(series),
                                         taus=K.taus)
-    comb_curve = sk.comb_survival(results[cb_best][0], K.taus)
+    comb_curve = results[cb_best].rebuilt
     d_tik = float(np.max(np.abs(tik.rebuilt.psi - curve.psi)))
     d_comb = float(np.max(np.abs(comb_curve.psi - curve.psi)))
     d_cross = float(np.max(np.abs(tik.rebuilt.psi - comb_curve.psi)))

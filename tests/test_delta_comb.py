@@ -128,17 +128,27 @@ def test_sweep_poisson_plateau():
     series = DurationSeries.from_values(rng.exponential(2.0, 20000))
     dts = np.geomspace(50, 2000, 8)
     results, best = sweep_delta_t(series, dts, taus=np.arange(1.0, 21.0))
-    ps = [rep.p_value for _, rep in results]
+    ps = [r.ks.p_value for r in results]
     assert sum(p > 0.01 for p in ps) >= 6  # wide high-p plateau
-    assert results[best][1].p_value == max(ps)
+    assert results[best].ks.p_value == max(ps)
 
 
 def test_sweep_ties_break_toward_larger_delta_t():
     series = DurationSeries.from_values(np.ones(22))
     results, best = sweep_delta_t(series, [5.0, 10.0], taus=np.arange(1.0, 4.0),
                                   n_eff=1)
-    if results[0][1].p_value == results[1][1].p_value:
+    if results[0].ks.p_value == results[1].ks.p_value:
         assert best == 1
+
+
+def test_sweep_keeps_each_rebuilt_curve():
+    rng = np.random.default_rng(28)
+    series = DurationSeries.from_values(rng.exponential(3.0, 2000))
+    taus = np.arange(1.0, 30.0)
+    results, _ = sweep_delta_t(series, [20.0, 80.0, 300.0], taus=taus)
+    for sol in results:
+        assert np.array_equal(sol.rebuilt.taus, taus)
+        assert np.array_equal(sol.rebuilt.psi, comb_survival(sol.comb, taus).psi)
 
 
 def test_estimate_h_default_margin():
@@ -180,6 +190,14 @@ def test_comb_csv_roundtrip():
     assert np.allclose(back.rates, comb.rates, atol=1e-9)
     assert np.allclose(back.weights, comb.weights, atol=1e-9)
     assert np.array_equal(back.window_counts, comb.window_counts)
+    header = "lambda,weight,window_count,window_sum\n"
+    for bad, message in ((header + "0.5,1,2,4\n", "delta_t"),
+                         ("# delta_t=nan\n" + header + "0.5,1,2,4\n", "delta_t"),
+                         ("# delta_t=5\n" + header + "0.5,1,2.5,4\n", "window_count"),
+                         ("# delta_t=5\n" + header + "0.5,1,2,inf\n", "line 3:"),
+                         ("# delta_t=5\n" + header + "0.5,1,2\n", "line 3:")):
+        with pytest.raises(ValueError, match=message):
+            read_comb_csv(io.StringIO(bad))
 
 
 def test_sweep_csv_columns():

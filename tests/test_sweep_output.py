@@ -1,0 +1,112 @@
+"""The shared sweep result shape and output layer: CLI sweeps, edge warnings
+and the CSV table round-trip."""
+
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spectrakit import SurvivalCurve, delta_comb
+from spectrakit.cli import main
+from spectrakit.delta_comb import DeltaComb, read_comb_csv, write_comb_csv
+from spectrakit.durations import read_survival_csv, write_survival_csv
+from spectrakit.tikhonov import (SpectrumGrid, read_spectrum_csv,
+                                 write_spectrum_csv)
+
+
+@pytest.fixture
+def exp_data(tmp_path):
+    path = tmp_path / "exp.txt"
+    assert main(["gen", "--exp", "0.2", "--n", "3000", "--seed", "3",
+                 "-o", str(path)]) == 0
+    return str(path)
+
+
+def test_comb_plot_rebuilds_each_delta_t_once(exp_data, tmp_path, monkeypatch):
+    calls = []
+    original = delta_comb.comb_survival
+
+    def counted(comb, taus):
+        calls.append(comb.delta_t)
+        return original(comb, taus)
+
+    monkeypatch.setattr(delta_comb, "comb_survival", counted)
+    assert main(["comb", "--input", exp_data, "--dt", "50,500,5000",
+                 "--grid", "1:30:30,lin", "-o", str(tmp_path / "cb"),
+                 "--plot"]) == 0
+    assert calls == [50.0, 500.0, 5000.0]
+    assert (tmp_path / "cb_fit.svg").exists()
+
+
+@pytest.mark.parametrize("argv, warning", [
+    (["tikhonov", "--n", "40", "--h", "0.02", "--mu", "1e-6,1e-3,1,1e3"], None),
+    (["tikhonov", "--n", "40", "--h", "0.02", "--mu", "1e-3,1e3"],
+     "warning: best mu = 0.001 is at the lower edge of its 2-point grid"),
+    # the edge is by value, not by position in the list
+    (["tikhonov", "--n", "40", "--h", "0.02", "--mu", "1e3,1e-3"],
+     "warning: best mu = 0.001 is at the lower edge of its 2-point grid"),
+    (["comb", "--dt", "1,5000", "--grid", "1:30:30,lin"],
+     "warning: best delta_t = 5000 is at the upper edge of its 2-point grid"),
+    (["comb", "--dt", "5000", "--grid", "1:30:30,lin"], None),
+], ids=["mu-interior", "mu-lower", "mu-lower-reversed", "dt-upper", "dt-single"])
+def test_edge_pick_warns_on_stderr(exp_data, tmp_path, capsys, argv, warning):
+    assert main([*argv, "--input", exp_data, "-o", str(tmp_path / "run")]) == 0
+    out, err = capsys.readouterr()
+    assert "warning" not in out
+    assert err.splitlines() == ([warning] if warning else [])
+
+
+finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+positive = st.floats(min_value=1e-300, max_value=1e300)
+
+
+def _roundtrip(write, read, value):
+    buf = io.StringIO()
+    write(value, buf)
+    back = read(io.StringIO(buf.getvalue()))
+    again = io.StringIO()
+    write(back, again)
+    assert again.getvalue() == buf.getvalue()
+    return back
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 999_999), min_size=1, max_size=30, unique=True),
+       st.data())
+def test_survival_csv_roundtrip_property(taus, data):
+    taus = np.sort(np.array(taus, dtype=float))
+    psi = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=taus.size,
+                                      max_size=taus.size)))
+    back = _roundtrip(write_survival_csv, read_survival_csv,
+                      SurvivalCurve(taus=taus, psi=psi))
+    assert np.array_equal(back.taus, taus)
+    assert np.allclose(back.psi, psi, rtol=0, atol=5e-7)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(finite, finite), min_size=1, max_size=30))
+def test_spectrum_csv_roundtrip_property(rows):
+    lambdas, masses = np.array(rows).T
+    back = _roundtrip(write_spectrum_csv, read_spectrum_csv,
+                      SpectrumGrid.from_arrays(lambdas, masses))
+    assert np.allclose(back.lambdas, lambdas, rtol=1e-11, atol=0)
+    assert np.allclose(back.masses, masses, rtol=1e-11, atol=0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(positive, finite, st.integers(1, 10**9), positive),
+                min_size=1, max_size=30),
+       positive)
+def test_comb_csv_roundtrip_property(rows, delta_t):
+    rates, weights, counts, sums = (np.array(col) for col in zip(*rows))
+    comb = DeltaComb(weights=weights, rates=rates, m=len(rows), delta_t=delta_t,
+                     window_counts=counts, window_sums=sums)
+    back = _roundtrip(write_comb_csv, read_comb_csv, comb)
+    assert back.m == comb.m
+    assert back.delta_t == pytest.approx(delta_t, rel=1e-11)
+    assert np.array_equal(back.window_counts, counts)
+    for got, want in ((back.rates, rates), (back.weights, weights),
+                      (back.window_sums, sums)):
+        assert np.allclose(got, want, rtol=1e-11, atol=0)

@@ -24,6 +24,6 @@ def test_parallel_sweeps_match_sequential(monkeypatch):
     for a, b in zip(seq_sols, par_sols):
         assert a.mu == b.mu
         assert np.array_equal(a.spectrum.masses, b.spectrum.masses)
-    for (ca, ra), (cb, rb) in zip(seq_combs, par_combs):
-        assert ca.delta_t == cb.delta_t
-        assert ra.statistic == rb.statistic
+    for a, b in zip(seq_combs, par_combs):
+        assert a.comb.delta_t == b.comb.delta_t
+        assert a.ks.statistic == b.ks.statistic

@@ -223,6 +223,11 @@ def test_spectrum_csv_roundtrip():
     back = read_spectrum_csv(io.StringIO(buf.getvalue()))
     assert np.allclose(back.lambdas, sol.spectrum.lambdas, atol=1e-9)
     assert np.allclose(back.masses, sol.spectrum.masses, atol=1e-9)
+    for bad, lineno in (("lambda,g\n0.1,inf\n", 2),
+                        ("lambda,g\n0.1,0.5\n0.2,nan\n", 3),
+                        ("lambda,g\n0.1\n", 2)):
+        with pytest.raises(ValueError, match=f"line {lineno}:"):
+            read_spectrum_csv(io.StringIO(bad))
 
 
 def test_mu_sweep_csv_columns():
