@@ -151,9 +151,10 @@ def cmd_survival(args) -> None:
 def cmd_tikhonov(args) -> None:
     series = _load_series(args)
     if args.auto_h:
-        results, best = delta_comb.sweep_delta_t(
-            series, delta_comb.default_delta_t_grid(series),
-            taus=np.arange(1.0, args.n + 1))
+        dts = delta_comb.default_delta_t_grid(series)
+        results, best = delta_comb.sweep_delta_t(series, dts,
+                                                 taus=np.arange(1.0, args.n + 1))
+        _warn_if_edge("delta_t", dts, best)
         h = delta_comb.estimate_h(results[best].comb, args.n)
     else:
         h = args.h
@@ -169,7 +170,7 @@ def cmd_tikhonov(args) -> None:
     _write_csv(args.out_prefix + "_survival.csv",
                lambda rows, sink: write_table(sink, "tau,psi_empirical,psi_rebuilt",
                                               "{:g},{:.6f},{:.6f}", rows),
-               zip(K.taus, curve.psi, sol.rebuilt.psi))
+               zip(K.taus.tolist(), curve.psi.tolist(), sol.rebuilt.psi.tolist()))
     _echo(args, [("input", args.input), ("h", f"{h:g}"), ("n", args.n),
                  ("mu_count", len(solutions)), ("best_mu", f"{sol.mu:g}"),
                  ("ks_statistic", f"{sol.ks.statistic:.6g}"),

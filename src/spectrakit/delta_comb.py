@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .durations import (DurationSeries, SurvivalCurve, default_tau_grid,
                         empirical_survival, read_table, write_table)
-from .gof import KsReport, best_by_pvalue, ks_compare
+from .gof import KsReport, best_by_pvalue, ks_pvalue
 
 __all__ = [
     "DeltaComb",
@@ -44,11 +45,20 @@ class DeltaComb:
 
 @dataclass(frozen=True)
 class CombSolution:
-    """One point of a delta_t sweep: the comb, its survival curve and KS score."""
+    """One point of a delta_t sweep: the comb, its tau grid and KS score.
+
+    ``rebuilt``, the comb's survival curve on ``taus``, is computed on
+    first access, so a sweep builds full curves only for the points a
+    caller reads.
+    """
 
     comb: DeltaComb
-    rebuilt: SurvivalCurve
+    taus: np.ndarray
     ks: KsReport
+
+    @cached_property
+    def rebuilt(self) -> SurvivalCurve:
+        return comb_survival(self.comb, self.taus)
 
 
 def fit_comb(series: DurationSeries, delta_t: float,
@@ -93,11 +103,50 @@ def fit_comb(series: DurationSeries, delta_t: float,
     )
 
 
+# tau rows per exp block: a block holds _CHUNK x m floats, whatever n_tau is
+_CHUNK = 1024
+
+
+def _psi_chunks(comb: DeltaComb, taus: np.ndarray):
+    """Yield (lo, psi[lo:lo+_CHUNK]) of the comb survival on a 1-d tau grid."""
+    neg_rates = -comb.rates
+    for lo in range(0, taus.size, _CHUNK):
+        arg = np.outer(taus[lo:lo + _CHUNK], neg_rates)
+        # exp is exactly 0 below -745.2 but takes a slow path there; skip
+        # those entries in a chunk that has any (its last row has the largest tau)
+        if arg[-1].min() < -746.0:
+            expo = np.exp(arg, out=np.zeros_like(arg), where=arg > -746.0)
+        else:
+            expo = np.exp(arg)
+        yield lo, expo @ comb.weights
+
+
 def comb_survival(comb: DeltaComb, taus) -> SurvivalCurve:
     """Mixture survival Psi(tau) = sum_j a_j * exp(-lambda_j * tau)."""
     taus = np.asarray(taus, dtype=float)
-    psi = np.exp(-np.outer(taus, comb.rates)) @ comb.weights
+    psi = np.empty(taus.size)
+    for lo, chunk in _psi_chunks(comb, taus.ravel()):
+        psi[lo:lo + chunk.size] = chunk
     return SurvivalCurve(taus=taus, psi=psi, n_source=0)
+
+
+def _ks_distance(comb: DeltaComb, empirical: SurvivalCurve) -> float:
+    """max |Psi_comb - Psi_emp| over the empirical grid, stopping early.
+
+    Both curves are non-negative and non-increasing (comb weights are
+    >= 0), so from tau* on no gap exceeds max(Psi_comb(tau*),
+    Psi_emp(tau*)); once that bound is no more than the running sup the
+    rest of the grid cannot raise it.  The 1e-12 margin covers ulp-level
+    non-monotonicity of the computed exp and dot product.
+    """
+    emp = empirical.psi
+    sup = 0.0
+    for lo, psi in _psi_chunks(comb, empirical.taus):
+        hi = lo + psi.size
+        sup = max(sup, float(np.max(np.abs(psi - emp[lo:hi]))))
+        if max(psi[-1], emp[hi - 1]) * (1 + 1e-12) <= sup:
+            break
+    return sup
 
 
 def default_delta_t_grid(series: DurationSeries, n: int = 30) -> np.ndarray:
@@ -127,8 +176,10 @@ def sweep_delta_t(series: DurationSeries, dts, taus=None,
 
     def one(dt) -> CombSolution:
         comb = fit_comb(series, dt)
-        rebuilt = comb_survival(comb, taus)
-        return CombSolution(comb, rebuilt, ks_compare(rebuilt, empirical, n_eff))
+        d = _ks_distance(comb, empirical)
+        return CombSolution(comb, empirical.taus,
+                            KsReport(statistic=d, p_value=ks_pvalue(d, n_eff),
+                                     n_eff=int(n_eff)))
 
     results = [one(dt) for dt in dts]
     return results, best_by_pvalue([r.ks for r in results], dts)
@@ -153,7 +204,8 @@ _COMB_HEADER = "lambda,weight,window_count,window_sum"
 def write_comb_csv(comb: DeltaComb, stream) -> None:
     stream.write(f"# delta_t={comb.delta_t:.12g}\n")
     write_table(stream, _COMB_HEADER, "{:.12g},{:.12g},{:d},{:.12g}",
-                zip(comb.rates, comb.weights, comb.window_counts, comb.window_sums))
+                zip(comb.rates.tolist(), comb.weights.tolist(),
+                    comb.window_counts.tolist(), comb.window_sums.tolist()))
 
 
 def read_comb_csv(stream) -> DeltaComb:

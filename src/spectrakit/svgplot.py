@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -92,11 +91,9 @@ def line_plot_svg(curves, title: str = "", xlabel: str = "", ylabel: str = "",
 
     for k, ((_, _, label), tx, ty) in enumerate(zip(curves, xs, ys)):
         color = _COLORS[k % len(_COLORS)]
-        pts = " ".join(
-            f"{px(x):.2f},{py(y):.2f}"
-            for x, y in zip(tx, ty)
-            if math.isfinite(x) and math.isfinite(y)
-        )
+        keep = np.isfinite(tx) & np.isfinite(ty)
+        pts = " ".join(map("{:.2f},{:.2f}".format,
+                           px(tx[keep]).tolist(), py(ty[keep]).tolist()))
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{pts}"/>')
         if label:

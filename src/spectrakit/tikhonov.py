@@ -171,7 +171,7 @@ def sweep_mu(K, psi, mus, n_eff: int | None = None):
 
 def write_spectrum_csv(spectrum: SpectrumGrid, stream) -> None:
     write_table(stream, "lambda,g", "{:.12g},{:.12g}",
-                zip(spectrum.lambdas, spectrum.masses))
+                zip(spectrum.lambdas.tolist(), spectrum.masses.tolist()))
 
 
 def read_spectrum_csv(stream) -> SpectrumGrid:

@@ -204,3 +204,14 @@ def test_auto_h(tmp_path):
     assert run(["tikhonov", "--input", str(raw), "--auto-h", "--n", "100",
                 "--mu", "1e-2,1e-1", "-o", prefix]) == 0
     assert (tmp_path / "tk_spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["survival", "comb"])
+def test_huge_duration_refuses_default_grid(tmp_path, capsys, command):
+    data = tmp_path / "huge.txt"
+    data.write_text("1.5\n2.5\n1e12\n")
+    out = str(tmp_path / "out")
+    assert run([command, "--input", str(data), "-o", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: tau_max = 1e+12")
+    assert "--grid" in err[0]

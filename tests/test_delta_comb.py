@@ -1,13 +1,20 @@
 import io
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from spectrakit import (DurationSeries, comb_survival, estimate_h, fit_comb,
-                        sweep_delta_t)
-from spectrakit.delta_comb import (default_delta_t_grid, read_comb_csv,
-                                   write_comb_csv, write_delta_t_sweep_csv)
+from spectrakit import (DurationSeries, comb_survival, empirical_survival,
+                        estimate_h, fit_comb, sweep_delta_t)
+from spectrakit.delta_comb import (_CHUNK, _ks_distance, default_delta_t_grid,
+                                   read_comb_csv, write_comb_csv,
+                                   write_delta_t_sweep_csv)
 
 
 def test_constant_durations_hand_trace():
@@ -54,6 +61,20 @@ def test_weights_sum_exactly_one():
         comb = fit_comb(series, 30.0)
         assert abs(comb.weights.sum() - 1.0) < 1e-12
         assert comb.window_counts.sum() == series.n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 500), st.integers(0, 2**32 - 1), st.floats(0.01, 100.0),
+       st.booleans())
+def test_weights_sum_to_one_property(n, seed, dt_over_mean, drop_tail):
+    values = np.random.default_rng(seed).exponential(3.0, n) + 1e-9
+    series = DurationSeries.from_values(values)
+    dt = dt_over_mean * series.mean
+    assume(not drop_tail or values.sum() > dt)
+    comb = fit_comb(series, dt, drop_tail=drop_tail)
+    assert abs(comb.weights.sum() - 1.0) < 1e-12
+    assert comb.window_counts.sum() <= series.n
+    assert drop_tail or comb.window_counts.sum() == series.n
 
 
 def test_window_identities():
@@ -149,6 +170,91 @@ def test_sweep_keeps_each_rebuilt_curve():
     for sol in results:
         assert np.array_equal(sol.rebuilt.taus, taus)
         assert np.array_equal(sol.rebuilt.psi, comb_survival(sol.comb, taus).psi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+       | st.integers(1, 3 * _CHUNK),
+       st.sampled_from([0.0, 1.0]) | st.floats(0.0, 100.0),
+       st.floats(0.01, 50.0), st.integers(0, 2**32 - 1), st.integers(1, 300),
+       st.floats(0.5, 200.0), st.booleans(), st.sampled_from([1.0, 30.0, 1000.0]))
+def test_early_exit_ks_equals_full_grid_max(n_tau, start, step, seed, n, dt_over_mean,
+                                            drop_tail, data_scale):
+    # exponentials over four decades of scale
+    rng = np.random.default_rng(seed)
+    series = DurationSeries.from_values(
+        rng.exponential(1.0, n) * 10.0 ** rng.uniform(0, 4, n) + 1e-9)
+    taus = start + step * np.arange(n_tau)
+    dt = dt_over_mean * series.mean
+    assume(not drop_tail or series.values.sum() > dt)
+    comb = fit_comb(series, dt, drop_tail=drop_tail)
+    # a sweep scores against its own data; rescaled data moves the largest
+    # gap, and so the early exit, past the first chunk
+    empirical = empirical_survival(
+        DurationSeries.from_values(series.values * data_scale), taus)
+    d = _ks_distance(comb, empirical)
+    assert d == float(np.max(np.abs(comb_survival(comb, taus).psi - empirical.psi)))
+    if not drop_tail and data_scale == 1.0:
+        (sol,), _ = sweep_delta_t(series, [dt], taus=taus)
+        assert sol.ks.statistic == d
+
+
+_OLD_FORMULA_CHECK = """
+import numpy as np
+from spectrakit import DeltaComb, DurationSeries, comb_survival, fit_comb
+rng = np.random.default_rng(29)
+series = DurationSeries.from_values(rng.exponential(1.0, 5000)
+                                    * 10.0 ** rng.uniform(0, 3, 5000))
+cases = [(fit_comb(series, dt), taus) for dt in (30.0, 3000.0, 300000.0)
+         for taus in (np.arange(0.0, 5.0), np.arange(1.0, 2500.0),
+                      np.arange(1.0, 30000.0, 9.0))]
+# Psi itself runs through the subnormal range, where every exp term counts
+few = DeltaComb(weights=np.array([0.2, 0.3, 0.5]), rates=np.array([1.0, 1.5, 2.0]),
+                m=3, delta_t=1.0, window_counts=np.array([1, 1, 1]),
+                window_sums=np.ones(3))
+cases.append((few, np.arange(0.0, 800.0, 0.5)))
+for comb, taus in cases:
+    new = comb_survival(comb, taus).psi
+    old = np.exp(-np.outer(taus, comb.rates)) @ comb.weights
+    if {exact}:
+        assert np.array_equal(new, old), (comb.delta_t, taus.size)
+    else:
+        assert np.allclose(new, old, rtol=1e-15, atol=0), (comb.delta_t, taus.size)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("blas_threads, exact", [("1", True), (None, False)],
+                         ids=["one-thread-bitwise", "threaded-1e-15"])
+def test_chunked_comb_survival_matches_full_matrix(blas_threads, exact):
+    # the chunks' underflow mask and block split keep every entry of the
+    # single full-matrix product; threaded BLAS may split a row's dot product
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(var, None)
+        if blas_threads:
+            env[var] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", _OLD_FORMULA_CHECK.format(exact=exact)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_sweep_memory_is_bounded_by_the_chunk():
+    # a full 40k x ~1000 exp matrix alone would be 320 MB
+    rng = np.random.default_rng(30)
+    series = DurationSeries.from_values(rng.exponential(2.0, 20_000))
+    taus = np.arange(1.0, 40_001.0)
+    tracemalloc.start()
+    try:
+        results, _ = sweep_delta_t(series, [40.0], taus=taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 900 <= results[0].comb.m <= 1100
+    assert peak < 64e6
 
 
 def test_estimate_h_default_margin():

@@ -119,6 +119,9 @@ def test_load_roundtrip_idempotent():
 def test_default_tau_grid():
     s = DurationSeries.from_values([1.2, 4.7])
     assert list(default_tau_grid(s)) == [1, 2, 3, 4, 5]
+    assert default_tau_grid(DurationSeries.from_values([1e7])).size == 10_000_000
+    with pytest.raises(ValueError, match=r"tau_max = 1e\+07.*--grid"):
+        default_tau_grid(DurationSeries.from_values([1e7 + 0.5]))
 
 
 def test_survival_csv_roundtrip():

@@ -2,13 +2,14 @@
 and the CSV table round-trip."""
 
 import io
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectrakit import SurvivalCurve, delta_comb
+from spectrakit import SurvivalCurve, delta_comb, svgplot
 from spectrakit.cli import main
 from spectrakit.delta_comb import DeltaComb, read_comb_csv, write_comb_csv
 from spectrakit.durations import read_survival_csv, write_survival_csv
@@ -24,7 +25,9 @@ def exp_data(tmp_path):
     return str(path)
 
 
-def test_comb_plot_rebuilds_each_delta_t_once(exp_data, tmp_path, monkeypatch):
+def test_comb_plot_rebuilds_only_the_picked_delta_t(exp_data, tmp_path, monkeypatch):
+    # the sweep scores each delta_t without a full curve; only the plot
+    # builds one, for the pick
     calls = []
     original = delta_comb.comb_survival
 
@@ -36,7 +39,7 @@ def test_comb_plot_rebuilds_each_delta_t_once(exp_data, tmp_path, monkeypatch):
     assert main(["comb", "--input", exp_data, "--dt", "50,500,5000",
                  "--grid", "1:30:30,lin", "-o", str(tmp_path / "cb"),
                  "--plot"]) == 0
-    assert calls == [50.0, 500.0, 5000.0]
+    assert calls == [50.0]
     assert (tmp_path / "cb_fit.svg").exists()
 
 
@@ -50,12 +53,44 @@ def test_comb_plot_rebuilds_each_delta_t_once(exp_data, tmp_path, monkeypatch):
     (["comb", "--dt", "1,5000", "--grid", "1:30:30,lin"],
      "warning: best delta_t = 5000 is at the upper edge of its 2-point grid"),
     (["comb", "--dt", "5000", "--grid", "1:30:30,lin"], None),
-], ids=["mu-interior", "mu-lower", "mu-lower-reversed", "dt-upper", "dt-single"])
+    (["tikhonov", "--n", "40", "--auto-h", "--mu", "1e-6,1e-3,1,1e3"], None),
+], ids=["mu-interior", "mu-lower", "mu-lower-reversed", "dt-upper", "dt-single",
+        "auto-h-interior"])
 def test_edge_pick_warns_on_stderr(exp_data, tmp_path, capsys, argv, warning):
     assert main([*argv, "--input", exp_data, "-o", str(tmp_path / "run")]) == 0
     out, err = capsys.readouterr()
     assert "warning" not in out
     assert err.splitlines() == ([warning] if warning else [])
+
+
+def test_auto_h_warns_when_its_delta_t_pick_is_an_edge(tmp_path, capsys):
+    path = tmp_path / "mix.txt"
+    assert main(["gen", "--mixture", "0.5:0.25,0.5:0.05", "--n", "3000",
+                 "--seed", "3", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["tikhonov", "--input", str(path), "--n", "40", "--auto-h",
+                 "--mu", "1e-3,1e-2,1e-1,1", "-o", str(tmp_path / "run")]) == 0
+    out, err = capsys.readouterr()
+    assert "# best_mu = 0.01" in out.splitlines()
+    assert err.splitlines() == [
+        "warning: best delta_t = 118.83 is at the lower edge of its 30-point grid"]
+
+
+def test_polyline_points_skip_non_finite_and_non_positive():
+    # golden polylines: log axes drop x=0, y<=0, NaN and inf points; linear
+    # axes drop NaN and inf
+    x = np.array([0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0])
+    y = np.array([1.0, 0.5, 0.0, -0.25, np.nan, 0.03, np.inf, 1e-4])
+    log = svgplot.line_plot_svg([(x, y, "a"), (x, np.exp(-x / 4), "b")],
+                                log_x=True, log_y=True)
+    lin = svgplot.line_plot_svg([(x, y, "a")])
+    assert re.findall(r'points="([^"]*)"', log) == [
+        "70.00,69.35 445.66,188.48 620.00,430.00",
+        "70.00,50.59 195.22,61.17 268.47,71.76 360.75,92.93 445.66,124.69 "
+        "533.36,177.62 620.00,262.30"]
+    assert re.findall(r'points="([^"]*)"', lin) == [
+        "70.00,40.00 96.19,196.00 122.38,352.00 148.57,430.00 279.52,342.64 "
+        "620.00,351.97"]
 
 
 finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
