@@ -11,8 +11,8 @@ import tempfile
 import numpy as np
 
 from . import delta_comb, svgplot, synthetic, tikhonov
-from .durations import (default_tau_grid, empirical_survival, load_durations,
-                        write_survival_csv, write_table)
+from .durations import (MAX_GRID_POINTS, default_tau_grid, empirical_survival,
+                        load_durations, write_survival_csv, write_table)
 from .kernel import assemble_kernel
 
 
@@ -46,8 +46,8 @@ def parse_value_list(text: str) -> np.ndarray:
         if len(fields) != 3:
             raise ValueError(f"range must be lo:hi:count, got {spec!r}")
         lo, hi, count = float(fields[0]), float(fields[1]), int(fields[2])
-        if count < 1:
-            raise ValueError("range count must be >= 1")
+        if not 1 <= count <= MAX_GRID_POINTS:
+            raise ValueError(f"range count {count} is outside 1..{MAX_GRID_POINTS}")
         if scale == "log":
             if lo <= 0 or hi <= 0:
                 raise ValueError("log range endpoints must be > 0")

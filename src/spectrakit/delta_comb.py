@@ -10,7 +10,7 @@ import numpy as np
 
 from .durations import (DurationSeries, SurvivalCurve, default_tau_grid,
                         empirical_survival, read_table, write_table)
-from .gof import KsReport, best_by_pvalue, ks_pvalue
+from .gof import KsReport, ks_pvalue, sweep
 
 __all__ = [
     "DeltaComb",
@@ -149,40 +149,39 @@ def _ks_distance(comb: DeltaComb, empirical: SurvivalCurve) -> float:
     return sup
 
 
-def default_delta_t_grid(series: DurationSeries, n: int = 30) -> np.ndarray:
-    """Log-spaced delta_t sweep spanning windows of ~10 to ~n/5 events."""
+DELTA_T_GRID_POINTS = 30
+
+
+def default_delta_t_grid(series: DurationSeries) -> np.ndarray:
+    """Log-spaced 30-point delta_t sweep spanning windows of ~10 to ~n/5 events."""
     lo = 10.0 * series.mean
     hi = series.n * series.mean / 5.0
     if hi <= lo:
         hi = 2.0 * lo
-    return np.geomspace(lo, hi, n)
+    return np.geomspace(lo, hi, DELTA_T_GRID_POINTS)
 
 
-def sweep_delta_t(series: DurationSeries, dts, taus=None,
-                  n_eff: int | None = None):
+def sweep_delta_t(series: DurationSeries, dts, taus=None):
     """Fit a comb per delta_t and rank by KS p-value against the data.
 
-    Returns (results, best_index) with one CombSolution per delta_t, in
-    input order.  Ties in p-value break toward larger delta_t.
+    The data are the empirical survival on ``taus`` (default:
+    default_tau_grid), whose n_source (= series.n) is the KS sample
+    size.  Returns gof.sweep's (results, best_index), one CombSolution
+    per delta_t; ties in p-value go to the larger delta_t.
     """
-    dts = list(np.atleast_1d(np.asarray(dts, dtype=float)))
-    if not dts:
-        raise ValueError("delta_t sweep is empty")
     if taus is None:
         taus = default_tau_grid(series)
     empirical = empirical_survival(series, taus)
-    if n_eff is None:
-        n_eff = series.n
+    n_eff = empirical.n_source
 
     def one(dt) -> CombSolution:
         comb = fit_comb(series, dt)
         d = _ks_distance(comb, empirical)
         return CombSolution(comb, empirical.taus,
                             KsReport(statistic=d, p_value=ks_pvalue(d, n_eff),
-                                     n_eff=int(n_eff)))
+                                     n_eff=n_eff))
 
-    results = [one(dt) for dt in dts]
-    return results, best_by_pvalue([r.ks for r in results], dts)
+    return sweep("delta_t", dts, one)
 
 
 def estimate_h(comb: DeltaComb, n: int, margin: float = 1.3) -> float:

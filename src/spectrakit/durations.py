@@ -39,8 +39,8 @@ class DurationSeries:
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("no usable durations")
-        if np.any(values <= 0):
-            raise ValueError("durations must be strictly positive")
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise ValueError("durations must be finite and strictly positive")
         return cls(
             values=values,
             n=int(values.size),
@@ -130,8 +130,8 @@ def load_durations(source, mode: str = "durations",
     return DurationSeries.from_values(values, dropped=dropped)
 
 
-# default grids past this many points (80 MB of taus alone) are refused
-_MAX_DEFAULT_TAU_POINTS = 10_000_000
+# tau grids past this many points (80 MB of taus alone) are refused
+MAX_GRID_POINTS = 10_000_000
 
 
 def default_tau_grid(series: DurationSeries) -> np.ndarray:
@@ -140,10 +140,10 @@ def default_tau_grid(series: DurationSeries) -> np.ndarray:
     Raises ValueError when that grid would exceed 10,000,000 points.
     """
     points = math.ceil(series.max)
-    if points > _MAX_DEFAULT_TAU_POINTS:
+    if points > MAX_GRID_POINTS:
         raise ValueError(
             f"tau_max = {series.max:g} needs a {points}-point default tau grid "
-            f"(limit {_MAX_DEFAULT_TAU_POINTS}); give an explicit grid with --grid")
+            f"(limit {MAX_GRID_POINTS}); give an explicit grid with --grid")
     return np.arange(1.0, points + 1.0)
 
 

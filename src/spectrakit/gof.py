@@ -9,7 +9,7 @@ import numpy as np
 
 from .durations import SurvivalCurve
 
-__all__ = ["KsReport", "ks_statistic", "ks_pvalue", "ks_compare", "best_by_pvalue"]
+__all__ = ["KsReport", "ks_statistic", "ks_pvalue", "ks_compare", "sweep"]
 
 _SERIES_TOL = 1e-12
 _MAX_TERMS = 100
@@ -63,6 +63,23 @@ def ks_compare(a: SurvivalCurve, b: SurvivalCurve, n_eff: int) -> KsReport:
     return KsReport(statistic=d, p_value=ks_pvalue(d, n_eff), n_eff=int(n_eff))
 
 
-def best_by_pvalue(reports, params) -> int:
-    """Index of the highest p-value; ties break toward the larger parameter."""
-    return max(range(len(reports)), key=lambda i: (reports[i].p_value, params[i]))
+def sweep(name: str, grid, solve):
+    """Run solve(v) for every v of a 1-d grid and pick the highest KS p-value.
+
+    The grid (a scalar counts as one point) is checked before any solve
+    runs: it must be non-empty and every value finite and > 0.  Returns
+    (results, best_index) with one result (anything with a ``ks``
+    KsReport) per grid value, in grid order; ties in p-value break
+    toward the larger grid value.
+    """
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if grid.ndim != 1:
+        raise ValueError(f"{name} sweep must be a 1-d list of values")
+    if grid.size == 0:
+        raise ValueError(f"{name} sweep is empty")
+    bad = grid[~(np.isfinite(grid) & (grid > 0))]
+    if bad.size:
+        raise ValueError(f"{name} must be finite and > 0, got {bad[0]:g}")
+    results = [solve(v) for v in grid]
+    best = max(range(grid.size), key=lambda i: (results[i].ks.p_value, grid[i]))
+    return results, best

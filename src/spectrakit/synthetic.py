@@ -41,10 +41,10 @@ class MixtureSpec:
         rates = np.atleast_1d(np.asarray(self.rates, dtype=float))
         if weights.size != rates.size or weights.size == 0:
             raise ValueError("weights and rates must be non-empty and equal length")
-        if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
+        if not (np.all(weights > 0) and abs(weights.sum() - 1.0) <= 1e-12):
             raise ValueError("weights must be positive and sum to 1")
-        if np.any(rates <= 0):
-            raise ValueError("rates must be > 0")
+        if not np.all(np.isfinite(rates) & (rates > 0)):
+            raise ValueError("rates must be finite and > 0")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "rates", rates)
 
@@ -60,8 +60,8 @@ class MlParams:
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
 
 
 def _uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -153,11 +153,11 @@ def _ml_asymptotic(z: float, beta: float) -> float:
     return total
 
 
-def ml_survival(p: MlParams, taus, z_switch: float = Z_SWITCH) -> SurvivalCurve:
+def ml_survival(p: MlParams, taus) -> SurvivalCurve:
     """Analytic Mittag-Leffler survival Psi(tau) = E_beta(-(tau/gamma)^beta).
 
     Evaluated by the defining power series (extended precision) for
-    z <= z_switch and the optimally truncated asymptotic expansion with
+    z <= Z_SWITCH and the optimally truncated asymptotic expansion with
     leading term (tau/gamma)^(-beta)/Gamma(1-beta) beyond; beta = 1
     short-circuits to the exact exponential.
     """
@@ -172,7 +172,7 @@ def ml_survival(p: MlParams, taus, z_switch: float = Z_SWITCH) -> SurvivalCurve:
         z = (tau / p.gamma) ** p.beta
         if z == 0.0:
             psi[idx] = 1.0
-        elif z <= z_switch:
+        elif z <= Z_SWITCH:
             psi[idx] = _ml_series(z, p.beta)
         else:
             psi[idx] = _ml_asymptotic(z, p.beta)

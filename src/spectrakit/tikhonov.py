@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .durations import SurvivalCurve, read_table, write_table
-from .gof import KsReport, best_by_pvalue, ks_compare
+from .gof import KsReport, ks_compare, sweep
 from .kernel import KernelMatrix
 
 __all__ = [
@@ -87,65 +87,14 @@ def eval_objective(K, g, psi, mu: float) -> float:
     return float(r @ r + mu * (g @ g))
 
 
-def _check_mus(mus) -> np.ndarray:
-    mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    bad = mus[~(np.isfinite(mus) & (mus > 0))]
-    if bad.size:
-        raise ValueError(f"mu must be finite and > 0, got {bad[0]:g}")
-    return mus
-
-
-def _factor(K, psi, n_eff):
-    """Take the SVD of K once; return the per-mu solver mu -> TikhonovSolution.
-
-    With K = U diag(s) V^T and c = U^T psi, the minimizer for any mu is
-    g = V diag(s / (s^2 + mu)) c (the filter-factor form).
-    """
-    A = _as_matrix(K)
-    b = _as_psi(psi)
-    if A.shape[0] != b.size:
-        raise ValueError(
-            f"dimension mismatch: K has {A.shape[0]} rows, psi has {b.size}")
-    if isinstance(K, KernelMatrix) and isinstance(psi, SurvivalCurve):
-        if not np.array_equal(K.taus, psi.taus):
-            raise ValueError("psi is not sampled on the kernel's tau grid")
-
-    if isinstance(K, KernelMatrix):
-        lambdas, taus = K.lambdas, K.taus
-    else:
-        lambdas = np.arange(1.0, A.shape[1] + 1)
-        taus = np.arange(1.0, A.shape[0] + 1)
-    if isinstance(psi, SurvivalCurve):
-        taus = psi.taus
-        if n_eff is None:
-            n_eff = max(psi.n_source, 1)
-    elif n_eff is None:
-        n_eff = 1
-    empirical = psi if isinstance(psi, SurvivalCurve) else SurvivalCurve(taus=taus, psi=b)
-
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    c = U.T @ b
-
-    def solve(mu) -> TikhonovSolution:
-        g = Vt.T @ (s / (s * s + mu) * c)
-        rebuilt = SurvivalCurve(taus=taus, psi=A @ g, n_source=0)
-        return TikhonovSolution(mu=float(mu),
-                                spectrum=SpectrumGrid.from_arrays(lambdas, g),
-                                rebuilt=rebuilt,
-                                ks=ks_compare(rebuilt, empirical, n_eff))
-
-    return solve
-
-
-def solve_tikhonov(K, psi, mu: float, n_eff: int | None = None) -> TikhonovSolution:
+def solve_tikhonov(K, psi, mu: float) -> TikhonovSolution:
     """Minimize ||Kg - Psi||^2 + mu*||g||^2 and rebuild the survival curve.
 
-    ``psi`` must be sampled on the kernel's tau grid.  The KS report
-    compares the rebuilt curve against ``psi`` with effective sample
-    size n_eff (default: the curve's n_source, or 1 if analytic).
+    ``psi`` must be sampled on the kernel's tau grid.  This is sweep_mu
+    at the single value mu; see there for the KS report.
     """
-    (mu,) = _check_mus(mu)
-    return _factor(K, psi, n_eff)(mu)
+    solutions, _ = sweep_mu(K, psi, [mu])
+    return solutions[0]
 
 
 def default_mu_grid(n: int = 200, lo: float = 1e-6, hi: float = 1e2) -> np.ndarray:
@@ -153,20 +102,42 @@ def default_mu_grid(n: int = 200, lo: float = 1e-6, hi: float = 1e2) -> np.ndarr
     return np.geomspace(lo, hi, n)
 
 
-def sweep_mu(K, psi, mus, n_eff: int | None = None):
+def sweep_mu(K, psi, mus):
     """Solve for every mu from one SVD of K and rank by KS p-value.
 
-    Returns (solutions, best_index) with solutions in input mu order;
-    solutions[i] equals solve_tikhonov(K, psi, mus[i]) to the bit.
-    Ties in p-value break toward larger mu (stronger regularization).
-    Every mu must be finite and > 0.
+    With K = U diag(s) V^T and c = U^T psi, the minimizer for any mu is
+    g = V diag(s / (s^2 + mu)) c (the filter-factor form).  ``psi`` is a
+    SurvivalCurve or an array on the kernel's tau grid; its n_source (at
+    least 1) is the KS sample size.  Returns gof.sweep's (solutions,
+    best_index); ties in p-value go to the larger mu (stronger
+    regularization).
     """
-    mus = _check_mus(mus)
-    if mus.size == 0:
-        raise ValueError("mu sweep is empty")
-    solve = _factor(K, psi, n_eff)
-    solutions = [solve(mu) for mu in mus]
-    return solutions, best_by_pvalue([s.ks for s in solutions], mus)
+    A = _as_matrix(K)
+    b = _as_psi(psi)
+    if A.shape[0] != b.size:
+        raise ValueError(
+            f"dimension mismatch: K has {A.shape[0]} rows, psi has {b.size}")
+    is_kernel = isinstance(K, KernelMatrix)
+    if not isinstance(psi, SurvivalCurve):
+        psi = SurvivalCurve(taus=K.taus if is_kernel else np.arange(1.0, b.size + 1),
+                            psi=b)
+    elif is_kernel and not np.array_equal(K.taus, psi.taus):
+        raise ValueError("psi is not sampled on the kernel's tau grid")
+    lambdas = K.lambdas if is_kernel else np.arange(1.0, A.shape[1] + 1)
+    n_eff = max(psi.n_source, 1)
+
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    c = U.T @ b
+
+    def solve(mu) -> TikhonovSolution:
+        g = Vt.T @ (s / (s * s + mu) * c)
+        rebuilt = SurvivalCurve(taus=psi.taus, psi=A @ g, n_source=0)
+        return TikhonovSolution(mu=float(mu),
+                                spectrum=SpectrumGrid.from_arrays(lambdas, g),
+                                rebuilt=rebuilt,
+                                ks=ks_compare(rebuilt, psi, n_eff))
+
+    return sweep("mu", mus, solve)
 
 
 def write_spectrum_csv(spectrum: SpectrumGrid, stream) -> None:

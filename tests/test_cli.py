@@ -2,8 +2,11 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spectrakit.cli import main, parse_mixture, parse_value_list
+from spectrakit.durations import MAX_GRID_POINTS
 
 
 def run(args):
@@ -20,6 +23,60 @@ def test_parse_value_list_forms():
         parse_value_list("1:2")
     with pytest.raises(ValueError):
         parse_value_list("-1:2:5,log")
+    assert parse_value_list("1:2:3,lin").size == 3
+    too_many = MAX_GRID_POINTS + 1
+    with pytest.raises(ValueError, match=f"count {too_many} is outside 1..{MAX_GRID_POINTS}"):
+        parse_value_list(f"1:2:{too_many},lin")
+
+
+_number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_unparsable = st.sampled_from(["abc", "1..2", "", "1e", "--1", "0x1g"])
+_malformed_value_lists = st.one_of(
+    # wrong field count (a ':' makes it a range)
+    st.lists(_number, min_size=2, max_size=5).filter(lambda f: len(f) != 3)
+    .map(":".join),
+    # count < 1
+    st.tuples(_number, _number, st.integers(-5, 0)).map(lambda t: "%s:%s:%d" % t),
+    # a log endpoint <= 0
+    st.tuples(st.floats(-1e3, 0.0).map(repr), st.floats(1e-3, 1e3).map(repr),
+              st.integers(1, 5), st.sampled_from(["", ",log"]), st.booleans())
+    .map(lambda t: (f"{t[0]}:{t[1]}" if t[4] else f"{t[1]}:{t[0]}") + f":{t[2]}{t[3]}"),
+    # unknown scale
+    st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
+    .filter(lambda s: s not in ("log", "lin")).map(lambda s: "1:2:3," + s),
+    # empty list
+    st.sampled_from(["", ",", " , ,", ",,,"]),
+    # unparsable number, in a list or a range field
+    st.tuples(_number, _unparsable).map(lambda t: f"{t[0]},{t[1]}x"),
+    st.tuples(_unparsable, _number).map(lambda t: f"{t[0]}z:{t[1]}:3"),
+    st.floats(0.1, 9.9).map(lambda c: f"1:2:{c}"),
+)
+
+
+@given(_malformed_value_lists)
+def test_parse_value_list_rejects_malformed(spec):
+    with pytest.raises(ValueError):
+        parse_value_list(spec)
+
+
+_malformed_mixtures = st.one_of(
+    # a component without ':' or with an extra field
+    st.lists(_number, min_size=1, max_size=3).map(",".join),
+    st.tuples(_number, _number, _number).map(":".join),
+    # unparsable weight or rate
+    st.tuples(_unparsable, _number).map(lambda t: f"{t[0]}q:{t[1]}"),
+    st.tuples(_number, _unparsable).map(lambda t: f"1:{t[0]},0:{t[1]}q"),
+    # weights not summing to 1, a rate <= 0, non-finite numbers
+    st.floats(0.01, 0.98).map(lambda w: f"{w!r}:1"),
+    st.floats(-1e3, 0.0).map(lambda r: f"1:{r!r}"),
+    st.sampled_from(["nan:1", "1:nan", "0.5:nan,0.5:1", "1:inf", "inf:1", ""]),
+)
+
+
+@given(_malformed_mixtures)
+def test_parse_mixture_rejects_malformed(spec):
+    with pytest.raises(ValueError):
+        parse_mixture(spec)
 
 
 def test_parse_mixture():
@@ -63,6 +120,16 @@ def test_gen_requires_one_model(tmp_path):
     assert run(["gen", "--n", "10", "-o", str(tmp_path / "x.txt")]) == 1
     assert run(["gen", "--exp", "1.0", "--ml", "--n", "10",
                 "-o", str(tmp_path / "x.txt")]) == 1
+
+
+@pytest.mark.parametrize("model", [["--exp", "nan"], ["--ml", "--gamma", "nan"],
+                                   ["--ml", "--gamma", "inf"],
+                                   ["--mixture", "0.5:nan,0.5:1"],
+                                   ["--mixture", "nan:1"]])
+def test_gen_rejects_non_finite_parameters(tmp_path, model):
+    out = tmp_path / "x.txt"
+    assert run(["gen", *model, "--n", "10", "-o", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_survival_counting(tmp_path, capsys):
@@ -204,6 +271,17 @@ def test_auto_h(tmp_path):
     assert run(["tikhonov", "--input", str(raw), "--auto-h", "--n", "100",
                 "--mu", "1e-2,1e-1", "-o", prefix]) == 0
     assert (tmp_path / "tk_spectrum.csv").exists()
+
+
+def test_oversize_grid_range_is_refused(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    data.write_text("1\n2\n3\n")
+    out = tmp_path / "s.csv"
+    assert run(["survival", "--input", str(data), "-o", str(out),
+                "--grid", f"1:2:{MAX_GRID_POINTS + 1},lin"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: range count")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["survival", "comb"])

@@ -156,10 +156,26 @@ def test_sweep_poisson_plateau():
 
 def test_sweep_ties_break_toward_larger_delta_t():
     series = DurationSeries.from_values(np.ones(22))
-    results, best = sweep_delta_t(series, [5.0, 10.0], taus=np.arange(1.0, 4.0),
-                                  n_eff=1)
-    if results[0].ks.p_value == results[1].ks.p_value:
-        assert best == 1
+    results, best = sweep_delta_t(series, [5.0, 10.0], taus=np.arange(1.0, 4.0))
+    assert results[0].ks == results[1].ks
+    assert best == 1
+
+
+def test_sweep_rejects_bad_delta_t_before_any_fit(monkeypatch):
+    from spectrakit import delta_comb
+    calls = []
+    fit = delta_comb.fit_comb
+
+    def counting_fit(series, dt):
+        calls.append(dt)
+        return fit(series, dt)
+
+    monkeypatch.setattr(delta_comb, "fit_comb", counting_fit)
+    series = DurationSeries.from_values(np.ones(22))
+    for dts in ([100.0, float("nan")], [5.0, 0.0], [5.0, -1.0], [float("inf")], []):
+        with pytest.raises(ValueError, match="delta_t"):
+            sweep_delta_t(series, dts, taus=np.arange(1.0, 4.0))
+    assert calls == []
 
 
 def test_sweep_keeps_each_rebuilt_curve():

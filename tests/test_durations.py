@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spectrakit import (DurationSeries, SurvivalCurve, empirical_survival,
                         load_durations)
@@ -92,6 +94,28 @@ def test_empirical_survival_non_increasing():
     c = empirical_survival(s, np.linspace(0, 10, 100))
     assert np.all(np.diff(c.psi) <= 0)
     assert np.all((c.psi >= 0) & (c.psi <= 1))
+
+
+@given(st.lists(st.floats(1e-3, 1e3) | st.sampled_from([1.0, 2.0]), min_size=1,
+                max_size=60),
+       st.lists(st.floats(0.0, 2e3), max_size=60))
+def test_empirical_survival_ge_convention_property(values, extra_taus):
+    # non-increasing on any increasing grid; Psi(min) = 1 and Psi(max) is
+    # the multiplicity of the max over n ('>=' counts the point itself)
+    s = DurationSeries.from_values(values)
+    lo, hi = min(values), max(values)
+    taus = np.unique(np.array(extra_taus + [lo, hi]))
+    c = empirical_survival(s, taus)
+    assert np.all(np.diff(c.psi) <= 0)
+    assert c.psi[taus == lo][0] == 1.0
+    assert c.psi[taus == hi][0] == values.count(hi) / len(values)
+
+
+def test_from_values_rejects_non_finite_or_non_positive():
+    for values in ([1.0, float("nan"), float("inf")], [1.0, float("inf")],
+                   [float("-inf"), 2.0], [1.0, 0.0], [-1.0]):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            DurationSeries.from_values(values)
 
 
 def test_permutation_invariance():

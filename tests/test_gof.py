@@ -1,9 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spectrakit import SurvivalCurve, ks_compare, ks_pvalue, ks_statistic
+from spectrakit.gof import _SERIES_TOL, sweep
 
 
 def curve(psi, taus=None):
@@ -102,3 +106,57 @@ def test_compare_report():
     assert rep.statistic == pytest.approx(0.1)
     assert rep.n_eff == 100
     assert rep.p_value == pytest.approx(ks_pvalue(0.1, 100))
+
+
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 10**7))
+def test_pvalue_non_increasing_in_d(d1, d2, n):
+    lo, hi = sorted((d1, d2))
+    assert ks_pvalue(hi, n) <= ks_pvalue(lo, n) + _SERIES_TOL
+
+
+@given(st.floats(0.0, 1.0), st.integers(1, 10**7), st.integers(1, 10**7))
+def test_pvalue_non_increasing_in_n(d, n1, n2):
+    lo, hi = sorted((n1, n2))
+    assert ks_pvalue(d, hi) <= ks_pvalue(d, lo) + _SERIES_TOL
+
+
+def _stub_solve(p_of):
+    """A solve that records its calls and reports p = p_of[value]."""
+    calls = []
+
+    def solve(v):
+        calls.append(v)
+        return SimpleNamespace(value=v, ks=SimpleNamespace(p_value=p_of[v]))
+
+    return solve, calls
+
+
+def test_sweep_picks_highest_p_in_grid_order():
+    # 2 and 3 tie below the best p, so the tie rule must not move the pick
+    solve, calls = _stub_solve({1.0: 0.7, 2.0: 0.2, 3.0: 0.2})
+    results, best = sweep("x", [3.0, 1.0, 2.0], solve)
+    assert calls == [3.0, 1.0, 2.0]
+    assert [r.value for r in results] == calls
+    assert best == 1
+
+
+@pytest.mark.parametrize("grid, larger", [([3.0, 1.0, 2.0], 0), ([1.0, 3.0, 2.0], 1),
+                                          ([1.0, 2.0, 3.0], 2), ([2.0], 0)])
+def test_sweep_ties_go_to_the_larger_value(grid, larger):
+    solve, _ = _stub_solve({1.0: 0.5, 2.0: 0.5, 3.0: 0.5})
+    assert sweep("x", grid, solve)[1] == larger
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([], "mu sweep is empty"),
+    ([1.0, float("nan")], "mu must be finite and > 0, got nan"),
+    ([float("inf"), 1.0], "mu must be finite and > 0, got inf"),
+    ([1.0, 0.0], "mu must be finite and > 0, got 0"),
+    ([-2.0, 1.0], "mu must be finite and > 0, got -2"),
+    ([[1.0, 2.0]], "mu sweep must be a 1-d"),
+])
+def test_sweep_rejects_bad_grid_before_any_solve(grid, message):
+    solve, calls = _stub_solve({1.0: 0.5, 2.0: 0.5})
+    with pytest.raises(ValueError, match=message):
+        sweep("mu", grid, solve)
+    assert calls == []

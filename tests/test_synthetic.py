@@ -11,6 +11,8 @@ from spectrakit import (MixtureSpec, MlParams, empirical_survival,
                         ml_survival)
 from spectrakit.synthetic import _ml_asymptotic, _ml_series
 
+nan, inf = math.nan, math.inf
+
 
 def test_mixture_spec_validation():
     with pytest.raises(ValueError):
@@ -19,6 +21,10 @@ def test_mixture_spec_validation():
         MixtureSpec(weights=[1.0], rates=[-1.0])
     with pytest.raises(ValueError):
         MixtureSpec(weights=[0.5, 0.5], rates=[1.0])
+    for weights, rates in (([0.5, 0.5], [nan, 1.0]), ([0.5, 0.5], [1.0, inf]),
+                           ([nan], [1.0]), ([inf, 0.5], [1.0, 1.0])):
+        with pytest.raises(ValueError):
+            MixtureSpec(weights=weights, rates=rates)
 
 
 def test_ml_params_validation():
@@ -28,6 +34,9 @@ def test_ml_params_validation():
         MlParams(beta=1.2, gamma=1.0)
     with pytest.raises(ValueError):
         MlParams(beta=0.5, gamma=0.0)
+    for beta, gamma in ((0.5, nan), (0.5, inf), (nan, 1.0)):
+        with pytest.raises(ValueError):
+            MlParams(beta=beta, gamma=gamma)
 
 
 def test_mixture_single_rate_mean():

@@ -154,7 +154,7 @@ def test_sweep_ties_break_toward_larger_mu():
     # instead force a tie via a flat-p plateau (tiny n_eff, tiny D)
     K = assemble_kernel(0.05, 10)
     curve = SurvivalCurve(taus=K.taus, psi=np.exp(-K.taus / 2.0), n_source=1)
-    solutions, best = sweep_mu(K, curve, [1e-6, 2e-6, 3e-6], n_eff=1)
+    solutions, best = sweep_mu(K, curve, [1e-6, 2e-6, 3e-6])
     ps = [s.ks.p_value for s in solutions]
     assert ps[0] == ps[1] == ps[2] == 1.0
     assert best == 2
