@@ -13,7 +13,7 @@ import numpy as np
 from . import delta_comb, svgplot, synthetic, tikhonov
 from .durations import (MAX_GRID_POINTS, default_tau_grid, empirical_survival,
                         load_durations, write_survival_csv, write_table)
-from .kernel import assemble_kernel
+from .kernel import assemble_kernel, check_kernel_size
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -109,8 +109,8 @@ def cmd_gen(args) -> None:
     modes = [args.exp is not None, args.mixture is not None, args.ml]
     if sum(modes) != 1:
         raise ValueError("choose exactly one of --exp, --mixture, --ml")
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
+    if not 1 <= args.n <= MAX_GRID_POINTS:
+        raise ValueError(f"--n must be in 1..{MAX_GRID_POINTS}, got {args.n}")
     if args.exp is not None:
         spec = synthetic.MixtureSpec(weights=[1.0], rates=[args.exp])
         series = synthetic.gen_mixture(spec, args.n, args.seed)
@@ -149,6 +149,7 @@ def cmd_survival(args) -> None:
 
 
 def cmd_tikhonov(args) -> None:
+    check_kernel_size(args.n)
     series = _load_series(args)
     if args.auto_h:
         dts = delta_comb.default_delta_t_grid(series)

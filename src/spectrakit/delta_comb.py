@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,43 +62,125 @@ class CombSolution:
         return comb_survival(self.comb, self.taus)
 
 
-def fit_comb(series: DurationSeries, delta_t: float,
-             drop_tail: bool = False) -> DeltaComb:
-    """Split the duration stream into windows of ~constant activity.
+def _scan(values, delta_t: float, counts: list, sums: list) -> bool:
+    """The sequential window scan: add the durations one by one.
 
-    Scans the durations in order; a window closes as soon as its sum
-    strictly exceeds delta_t, and the next one starts with the
-    following duration.  A trailing run whose sum never exceeds
-    delta_t becomes a final partial window (keeping the weights summing
-    to 1 exactly) unless drop_tail is set, in which case the remaining
-    weights are renormalized.
+    Appends the count and sum of each window, and of a trailing run
+    that never exceeded delta_t, to ``counts`` and ``sums``; returns
+    whether there was such a trailing run.
     """
-    if not (math.isfinite(delta_t) and delta_t > 0):
-        raise ValueError(f"delta_t must be finite and > 0, got {delta_t}")
-    counts, sums = [], []
     cur_n, cur_t = 0, 0.0
-    for tau in series.values:
+    for tau in values:
         cur_n += 1
         cur_t += tau
         if cur_t > delta_t:
             counts.append(cur_n)
             sums.append(cur_t)
             cur_n, cur_t = 0, 0.0
-    has_tail = cur_n > 0
-    if has_tail and not drop_tail:
+    if cur_n:
         counts.append(cur_n)
         sums.append(cur_t)
-    if not counts:
+    return cur_n > 0
+
+
+def _candidate_ends(csum, delta_t: float) -> list:
+    """Last index of each window, chased through the prefix sums.
+
+    Window k ends at the first j with csum[j] > csum[start - 1] + delta_t;
+    an end of len(csum) marks a trailing run.  Prefix-sum differences
+    round differently from the window's own running sum, so an end is
+    only a candidate until _sequential_sums checks it.
+    """
+    n = len(csum)
+    ends, start, base = [], 0, 0.0
+    while start < n:
+        end = bisect_right(csum, base + delta_t, start)
+        ends.append(end)
+        if end == n:
+            break
+        base = csum[end]
+        start = end + 1
+    return ends
+
+
+# floats per zero-padded block in _sequential_sums
+_BLOCK = 1 << 16
+
+
+def _sequential_sums(values: np.ndarray, starts: np.ndarray,
+                     counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(last, before-last) running sums of each window values[start:start+count].
+
+    Windows are grouped by power-of-2 length and laid out as zero-padded
+    rows; cumsum along a row is a sequential accumulate and adding 0.0
+    changes nothing, so every partial sum equals the scan's own, to the
+    bit.  A one-duration window's before-last sum is 0.0.
+    """
+    last = np.empty(counts.size)
+    before = np.zeros(counts.size)
+    widths = np.frexp(counts - 1)[1]          # 2**widths >= counts
+    for width in np.unique(widths).tolist():
+        cols = np.arange(1 << width)
+        group = np.flatnonzero(widths == width)
+        step = max(1, _BLOCK >> width)
+        for rows in (group[lo:lo + step] for lo in range(0, group.size, step)):
+            block = values.take(starts[rows, None] + cols, mode="clip")
+            block[cols >= counts[rows, None]] = 0.0
+            partial = np.cumsum(block, axis=1, out=block)
+            last[rows] = partial[:, -1]
+            inner = counts[rows] >= 2
+            before[rows[inner]] = partial[inner, counts[rows[inner]] - 2]
+    return last, before
+
+
+def fit_comb(series: DurationSeries, delta_t: float,
+             drop_tail: bool = False) -> DeltaComb:
+    """Split the duration stream into windows of ~constant activity.
+
+    A window is the shortest run of consecutive durations, from the end
+    of the previous one, whose running sum strictly exceeds delta_t.  A
+    trailing run whose sum never exceeds delta_t becomes a final partial
+    window (keeping the weights summing to 1 exactly) unless drop_tail
+    is set, in which case the remaining weights are renormalized.
+
+    Window ends are found by bisecting the series' prefix sums, one
+    bisection per window.  Every window is then checked with its own
+    sequential running sum, so counts and sums equal those of a scan
+    that adds the durations one by one, to the bit.  From the first
+    window whose check fails (its running sum and the prefix-sum
+    difference fall on opposite sides of delta_t) the scan itself takes
+    over.
+    """
+    if not (math.isfinite(delta_t) and delta_t > 0):
+        raise ValueError(f"delta_t must be finite and > 0, got {delta_t}")
+    delta_t = float(delta_t)
+    values = series.values
+    # memoryview items are Python floats, which bisect compares fastest
+    ends = np.array(_candidate_ends(memoryview(series.prefix_sums), delta_t), dtype=int)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    is_tail = ends == values.size
+    window_counts = np.minimum(ends, values.size - 1) - starts + 1
+    last, before = _sequential_sums(values, starts, window_counts)
+    ok = np.where(is_tail, last <= delta_t, (last > delta_t) & (before <= delta_t))
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        k = int(bad[0])
+        counts, sums = window_counts[:k].tolist(), last[:k].tolist()
+        has_tail = _scan(values[starts[k]:].tolist(), delta_t, counts, sums)
+        counts, sums = np.array(counts, dtype=int), np.array(sums, dtype=float)
+    else:
+        has_tail, counts, sums = bool(is_tail[-1]), window_counts, last
+    if has_tail and drop_tail:
+        counts, sums = counts[:-1], sums[:-1]
+    if not counts.size:
         raise ValueError(
             f"delta_t={delta_t:g} swallows the whole series into one dropped tail")
-    counts = np.array(counts, dtype=int)
-    sums = np.array(sums, dtype=float)
     denom = counts.sum() if (drop_tail and has_tail) else series.n
     return DeltaComb(
         weights=counts / denom,
         rates=counts / sums,
         m=len(counts),
-        delta_t=float(delta_t),
+        delta_t=delta_t,
         window_counts=counts,
         window_sums=sums,
     )
@@ -117,7 +200,8 @@ def _psi_chunks(comb: DeltaComb, taus: np.ndarray):
         if arg[-1].min() < -746.0:
             expo = np.exp(arg, out=np.zeros_like(arg), where=arg > -746.0)
         else:
-            expo = np.exp(arg)
+            # in place: one block-sized array, not two
+            expo = np.exp(arg, out=arg)
         yield lo, expo @ comb.weights
 
 

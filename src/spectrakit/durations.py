@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -49,6 +51,11 @@ class DurationSeries:
             dropped=int(dropped),
         )
 
+    @cached_property
+    def prefix_sums(self) -> np.ndarray:
+        """np.cumsum(values), computed once per series."""
+        return np.cumsum(self.values)
+
 
 @dataclass(frozen=True)
 class SurvivalCurve:
@@ -77,13 +84,12 @@ class SurvivalCurve:
         object.__setattr__(self, "psi", psi)
 
 
-def _parse_lines(source):
-    """Yield the finite float on every data line, skipping '#' comments."""
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
-    for lineno, raw in enumerate(lines, start=1):
+def _parse_lines(lines, start: int = 1):
+    """Yield the finite float on every data line, skipping '#' comments.
+
+    ``start`` is the number of the first line, for error messages.
+    """
+    for lineno, raw in enumerate(lines, start=start):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -94,6 +100,33 @@ def _parse_lines(source):
         if not math.isfinite(value):
             raise ValueError(f"line {lineno}: {line!r} is not a finite number")
         yield value
+
+
+# lines held at once by _parse_numbers
+_PARSE_CHUNK = 16_384
+
+
+def _parse_numbers(lines) -> np.ndarray:
+    """The numbers _parse_lines yields, converted a chunk of lines at a time.
+
+    Each chunk's data lines go through float() in one pass; only a chunk
+    holding a line that does not parse or is not finite is parsed again
+    line by line, to raise _parse_lines' 'line N: ...' error.
+    """
+    lines = iter(lines)
+    parts, start = [], 1
+    while chunk := list(islice(lines, _PARSE_CHUNK)):
+        data = [line for line in map(str.strip, chunk)
+                if line and not line.startswith("#")]
+        try:
+            part = np.fromiter(map(float, data), dtype=float, count=len(data))
+        except ValueError:
+            part = None
+        if part is None or not np.isfinite(part).all():
+            part = np.fromiter(_parse_lines(chunk, start), dtype=float)
+        parts.append(part)
+        start += len(chunk)
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def load_durations(source, mode: str = "durations",
@@ -117,7 +150,7 @@ def load_durations(source, mode: str = "durations",
     """
     if mode not in ("durations", "timestamps"):
         raise ValueError(f"unknown mode {mode!r}")
-    numbers = np.fromiter(_parse_lines(source), dtype=float)
+    numbers = _parse_numbers(source.splitlines() if isinstance(source, str) else source)
     if mode == "timestamps":
         numbers = np.diff(numbers) if numbers.size > 1 else np.empty(0)
     keep = numbers > 0
@@ -130,7 +163,8 @@ def load_durations(source, mode: str = "durations",
     return DurationSeries.from_values(values, dropped=dropped)
 
 
-# tau grids past this many points (80 MB of taus alone) are refused
+# grids and samples past this many points (80 MB of floats alone), and
+# kernels of more entries, are refused
 MAX_GRID_POINTS = 10_000_000
 
 

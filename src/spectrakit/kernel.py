@@ -7,7 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KernelMatrix", "assemble_kernel", "conditioning_ratio"]
+from .durations import MAX_GRID_POINTS
+
+__all__ = ["KernelMatrix", "assemble_kernel", "check_kernel_size", "conditioning_ratio"]
 
 
 @dataclass(frozen=True)
@@ -30,6 +32,24 @@ class KernelMatrix:
     taus: np.ndarray
 
 
+def check_kernel_size(n: int, n_tau: int | None = None) -> int:
+    """Validate an n_tau x n kernel size (n_tau defaults to n); return n_tau.
+
+    Raises ValueError for a size below 1 or a matrix of more than
+    MAX_GRID_POINTS entries, before anything is allocated.
+    """
+    if n < 1:
+        raise ValueError(f"grid size must be >= 1, got {n}")
+    if n_tau is None:
+        n_tau = n
+    elif n_tau < 1:
+        raise ValueError(f"n_tau must be >= 1, got {n_tau}")
+    if n * n_tau > MAX_GRID_POINTS:
+        raise ValueError(f"a {n_tau} x {n} kernel has {n * n_tau} entries "
+                         f"(limit {MAX_GRID_POINTS})")
+    return n_tau
+
+
 def assemble_kernel(h: float, n: int, n_tau: int | None = None) -> KernelMatrix:
     """Build the kernel matrix with lambda spacing h and n lambda rows.
 
@@ -38,12 +58,7 @@ def assemble_kernel(h: float, n: int, n_tau: int | None = None) -> KernelMatrix:
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and > 0, got {h}")
-    if n < 1:
-        raise ValueError(f"grid size must be >= 1, got {n}")
-    if n_tau is None:
-        n_tau = n
-    elif n_tau < 1:
-        raise ValueError(f"n_tau must be >= 1, got {n_tau}")
+    n_tau = check_kernel_size(n, n_tau)
     i = np.arange(1, n + 1)
     j = np.arange(1, n_tau + 1)
     lambdas = h * i.astype(float)

@@ -1,3 +1,4 @@
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -293,3 +294,30 @@ def test_huge_duration_refuses_default_grid(tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: tau_max = 1e+12")
     assert "--grid" in err[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--exp", "1", "--n", "10000000000"],
+     f"error: --n must be in 1..{MAX_GRID_POINTS}, got 10000000000"),
+    (["gen", "--exp", "1", "--n", str(MAX_GRID_POINTS + 1)],
+     f"error: --n must be in 1..{MAX_GRID_POINTS}, got {MAX_GRID_POINTS + 1}"),
+    (["tikhonov", "--n", "100000"],
+     f"error: a 100000 x 100000 kernel has 10000000000 entries (limit {MAX_GRID_POINTS})"),
+    (["tikhonov", "--n", "100000", "--auto-h"],
+     f"error: a 100000 x 100000 kernel has 10000000000 entries (limit {MAX_GRID_POINTS})"),
+])
+def test_oversize_sizes_are_refused_up_front(tmp_path, capsys, argv, message):
+    data = tmp_path / "d.txt"
+    data.write_text("1\n2\n3\n")
+    out = tmp_path / "x"
+    if argv[0] == "tikhonov":
+        argv = argv + ["--input", str(data)]
+    tracemalloc.start()
+    try:
+        assert run(argv + ["-o", str(out)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert list(tmp_path.iterdir()) == [data]

@@ -85,6 +85,101 @@ def test_window_identities():
     assert np.allclose(comb.weights, comb.window_counts / series.n, rtol=1e-15)
 
 
+def scan_windows(values, delta_t, drop_tail=False):
+    """Reference windowing: the sequential scan, one duration at a time."""
+    counts, sums = [], []
+    cur_n, cur_t = 0, 0.0
+    for tau in values:
+        cur_n += 1
+        cur_t += tau
+        if cur_t > delta_t:
+            counts.append(cur_n)
+            sums.append(cur_t)
+            cur_n, cur_t = 0, 0.0
+    if cur_n and not drop_tail:
+        counts.append(cur_n)
+        sums.append(cur_t)
+    return np.array(counts, dtype=int), np.array(sums, dtype=float)
+
+
+def assert_matches_scan(values, delta_t, drop_tail):
+    series = DurationSeries.from_values(values)
+    counts, sums = scan_windows(series.values, delta_t, drop_tail)
+    if counts.size == 0:
+        with pytest.raises(ValueError, match="swallows"):
+            fit_comb(series, delta_t, drop_tail=drop_tail)
+        return
+    comb = fit_comb(series, delta_t, drop_tail=drop_tail)
+    assert np.array_equal(comb.window_counts, counts)
+    assert np.array_equal(comb.window_sums, sums)
+    assert np.array_equal(comb.weights, counts / (counts.sum() if drop_tail else series.n))
+    assert np.array_equal(comb.rates, counts / sums)
+
+
+@st.composite
+def boundary_series(draw):
+    """Multiples of 0.1, after an optional large lead, and a delta_t that
+    ties a run's sequential sum exactly or is itself a multiple of 0.1.
+
+    The lead makes prefix sums coarse, so that csum[j] - csum[i] and the
+    window's own running sum round to opposite sides of delta_t.
+    """
+    lead = draw(st.sampled_from([[], [0.1], [7.3], [1e3], [1e6], [1e9 + 0.1]]))
+    tenths = [k * 0.1 for k in draw(st.lists(st.integers(1, 30), min_size=1, max_size=80))]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(tenths) - 1))
+        j = draw(st.integers(i + 1, len(tenths)))
+        delta_t = 0.0
+        for tau in tenths[i:j]:
+            delta_t += tau
+    else:
+        delta_t = draw(st.integers(1, 60)) * 0.1
+    return lead + tenths, delta_t
+
+
+@settings(max_examples=300, deadline=None)
+@given(boundary_series(), st.booleans())
+def test_fit_comb_equals_sequential_scan_at_boundaries(case, drop_tail):
+    values, delta_t = case
+    assert_matches_scan(values, delta_t, drop_tail)
+
+
+@pytest.mark.parametrize("drop_tail", [False, True])
+def test_fit_comb_equals_sequential_scan_on_random_series(drop_tail):
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 50, 5000):
+        values = rng.exponential(3.0, n) + 1e-9
+        for dt in (1e-3, 2.9, 30.0, 3.0 * n, 10.0 * n):
+            assert_matches_scan(values, dt, drop_tail)
+
+
+def test_fit_comb_falls_back_to_the_scan(monkeypatch):
+    # 0.1 + 0.2 = 0.30000000000000004 > 0.3 closes the first window.  For
+    # the second, csum[1] + 0.3 rounds up to csum[2], so bisection sees a
+    # trailing run where the scan sees 0.1 * 3 > 0.3: the check fails and
+    # the scan resumes at index 2.
+    from spectrakit import delta_comb
+    resumed = []
+    scan = delta_comb._scan
+
+    def counting_scan(values, *args):
+        resumed.append(list(values))
+        return scan(values, *args)
+
+    monkeypatch.setattr(delta_comb, "_scan", counting_scan)
+    values = [0.1, 0.2, 0.1 * 3]
+    for drop_tail in (False, True):
+        comb = fit_comb(DurationSeries.from_values(values), 0.3, drop_tail=drop_tail)
+        assert list(comb.window_counts) == [2, 1]
+        assert list(comb.window_sums) == [0.1 + 0.2, 0.1 * 3]
+        assert_matches_scan(values, 0.3, drop_tail)
+    assert resumed[0] == [0.1 * 3]
+    # a series whose every window passes never calls the scan
+    resumed.clear()
+    fit_comb(DurationSeries.from_values(np.ones(22)), 10.0)
+    assert resumed == []
+
+
 def test_fit_comb_rejects_bad_delta_t():
     series = DurationSeries.from_values([1.0])
     with pytest.raises(ValueError):

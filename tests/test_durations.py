@@ -2,10 +2,10 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectrakit import (DurationSeries, SurvivalCurve, empirical_survival,
+from spectrakit import (DurationSeries, SurvivalCurve, durations, empirical_survival,
                         load_durations)
 from spectrakit.durations import (default_tau_grid, read_survival_csv,
                                   write_survival_csv)
@@ -47,6 +47,49 @@ def test_load_durations_unparsable_line_cites_lineno():
             load_durations(f"1\n{bad}\n2\n")
         with pytest.raises(ValueError, match="line 3"):
             load_durations(f"# t\n0\n{bad}\n", mode="timestamps")
+
+
+def _load_or_error(text, mode, as_file):
+    try:
+        s = load_durations(io.StringIO(text) if as_file else text, mode=mode)
+    except ValueError as exc:
+        return str(exc)
+    return s.values.tolist(), s.dropped
+
+
+_TOKENS = ["1", "2.5", "-3", "0", "1e-400", "1_0", "١٢", "infinity", "-inf", "1e400",
+           "nan", "0x10", "abc", "", "#", "# 7", "+4", ".5"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_TOKENS) | st.floats(-1e6, 1e6).map(repr),
+                          st.sampled_from(["", " ", "\t", "  "]),
+                          st.sampled_from(["", " ", "\t "])),
+                max_size=40),
+       st.sampled_from(["durations", "timestamps"]), st.sampled_from([1, 2, 3, 16_384]),
+       st.booleans())
+def test_fast_parse_equals_line_by_line_parse(rows, mode, chunk, as_file):
+    # the one-pass parse (in chunks of `chunk` lines) gives the values of
+    # the line-by-line parse, or the same 'line N: ...' error
+    text = "".join(f"{pre}{token}{post}\n" for token, pre, post in rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(durations, "_PARSE_CHUNK", chunk)
+        fast = _load_or_error(text, mode, as_file)
+        mp.setattr(durations, "_parse_numbers",
+                   lambda lines: np.fromiter(durations._parse_lines(lines), dtype=float))
+        slow = _load_or_error(text, mode, as_file)
+    assert fast == slow
+
+
+def test_fast_parse_keeps_line_numbers_past_a_chunk(monkeypatch):
+    monkeypatch.setattr(durations, "_PARSE_CHUNK", 4)
+    text = "# head\n" + "1\n" * 9 + "\n1e400\n2\n"
+    with pytest.raises(ValueError, match=r"^line 12: '1e400' is not a finite number$"):
+        load_durations(text)
+    with pytest.raises(ValueError, match=r"^line 5: cannot parse '0x10' as a number$"):
+        load_durations(io.StringIO("1\n2\n3\n\n 0x10 \n"))
+    s = load_durations("1_0\n١٢\n 3 \n")
+    assert s.values.tolist() == [10.0, 12.0, 3.0]
 
 
 def test_load_durations_empty_result():

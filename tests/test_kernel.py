@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
 from spectrakit import assemble_kernel, conditioning_ratio
+from spectrakit.durations import MAX_GRID_POINTS
+from spectrakit.kernel import check_kernel_size
 
 
 def test_entries_match_formula():
@@ -62,6 +65,21 @@ def test_parameter_validation():
         assemble_kernel(0.1, 0)
     with pytest.raises(ValueError):
         assemble_kernel(0.1, 5, n_tau=0)
+
+
+def test_oversize_kernel_is_refused_before_allocation():
+    assert check_kernel_size(1, MAX_GRID_POINTS) == MAX_GRID_POINTS
+    assert check_kernel_size(3162) == 3162
+    tracemalloc.start()
+    try:
+        for n, n_tau in ((3163, None), (1, MAX_GRID_POINTS + 1), (100_000, None),
+                         (10, 10**18)):
+            with pytest.raises(ValueError, match=f"kernel has .* entries .limit {MAX_GRID_POINTS}"):
+                assemble_kernel(0.1, n, n_tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_conditioning_ratio_trivial_cases():
