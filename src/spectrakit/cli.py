@@ -16,13 +16,13 @@ from .durations import (MAX_GRID_POINTS, default_tau_grid, empirical_survival,
 from .kernel import assemble_kernel, check_kernel_size
 
 
-def _atomic_write(path: str, text: str) -> None:
-    # Write to a temp file in the target directory, then rename.
+def _atomic_write(path: str, pieces) -> None:
+    # Write the text pieces to a temp file in the target directory, then rename.
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -33,7 +33,7 @@ def _atomic_write(path: str, text: str) -> None:
 def _write_csv(path: str, writer, data) -> None:
     sink = io.StringIO()
     writer(data, sink)
-    _atomic_write(path, sink.getvalue())
+    _atomic_write(path, [sink.getvalue()])
 
 
 def parse_value_list(text: str) -> np.ndarray:
@@ -97,12 +97,23 @@ def _plot_sweep(prefix, grid, solutions, best, empirical, *,
     svg = svgplot.line_plot_svg(
         [(grid, np.array([s.ks.p_value for s in solutions]), "KS probability")],
         title=f"KS probability vs {name}", xlabel=xlabel, ylabel="p", log_x=True)
-    _atomic_write(f"{prefix}_ks_vs_{short}.svg", svg)
+    _atomic_write(f"{prefix}_ks_vs_{short}.svg", [svg])
     svg = svgplot.line_plot_svg(
         [(empirical.taus, empirical.psi, "empirical"),
          (empirical.taus, solutions[best].rebuilt.psi, label)],
         title=title, xlabel="tau [s]", ylabel="Psi", log_y=True)
-    _atomic_write(f"{prefix}_fit.svg", svg)
+    _atomic_write(f"{prefix}_fit.svg", [svg])
+
+
+# values per piece of a streamed gen file
+_GEN_PIECE = 1 << 16
+
+
+def _gen_lines(header: str, values: np.ndarray):
+    """The header line, then one line per value, in pieces of _GEN_PIECE values."""
+    yield header + "\n"
+    for lo in range(0, values.size, _GEN_PIECE):
+        yield "\n".join(map(repr, values[lo:lo + _GEN_PIECE].tolist())) + "\n"
 
 
 def cmd_gen(args) -> None:
@@ -124,8 +135,7 @@ def cmd_gen(args) -> None:
         series = synthetic.gen_mittag_leffler(params, args.n, args.seed)
         header = (f"# mittag-leffler beta={args.beta:g} gamma={args.gamma:g} "
                   f"n={args.n} seed={args.seed}")
-    lines = [header] + [repr(float(v)) for v in series.values]
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    _atomic_write(args.out, _gen_lines(header, series.values))
     _echo(args, [("out", args.out), ("n", series.n), ("seed", args.seed)])
 
 
@@ -145,7 +155,7 @@ def cmd_survival(args) -> None:
              (taus, reference, "exponential 1/mean")],
             title="Survival function", xlabel="tau [s]", ylabel="Psi",
             log_y=True)
-        _atomic_write(args.plot, svg)
+        _atomic_write(args.plot, [svg])
 
 
 def cmd_tikhonov(args) -> None:

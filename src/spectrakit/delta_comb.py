@@ -186,23 +186,52 @@ def fit_comb(series: DurationSeries, delta_t: float,
     )
 
 
-# tau rows per exp block: a block holds _CHUNK x m floats, whatever n_tau is
-_CHUNK = 1024
+# tau rows per exp block: a block holds _CHUNK x m floats (~2 MB at m = 4,000,
+# which stays in L2), whatever n_tau is
+_CHUNK = 64
+# exp(x) is a normal float for x >= _NORMAL_ARG and exactly +0.0 for x <= _ZERO_ARG
+_NORMAL_ARG = -708.0
+_ZERO_ARG = -746.0
 
 
 def _psi_chunks(comb: DeltaComb, taus: np.ndarray):
-    """Yield (lo, psi[lo:lo+_CHUNK]) of the comb survival on a 1-d tau grid."""
+    """Yield (lo, psi[lo:lo+_CHUNK]) of the comb survival on a 1-d tau grid.
+
+    Each block is np.exp(np.outer(taus[lo:hi], -rates)) entry for entry,
+    and psi is that block @ weights, so the curve equals
+    np.exp(-np.outer(taus, rates)) @ weights to the bit.  Only the exp
+    calls are cut down.  Across one block the argument -lambda*tau of a
+    column runs between its values at the block's first and last tau
+    (the grid is increasing, as SurvivalCurve requires), which sorts the
+    columns into three classes:
+
+    - normal: every argument >= -708, so exp is a normal float; the
+      whole block takes one plain in-place exp;
+    - dead: every argument <= -746, so exp is exactly +0.0;
+    - edge: the rest, which run into the subnormal range.
+
+    A block with dead or edge columns zeroes their arguments before the
+    plain exp and multiplies the result by the normal mask, which turns
+    those columns into +0.0; the edge columns are then recomputed on a
+    compact array, where exp skips the arguments <= -746 (exactly 0, but
+    on exp's slow path).
+    """
     neg_rates = -comb.rates
     for lo in range(0, taus.size, _CHUNK):
-        arg = np.outer(taus[lo:lo + _CHUNK], neg_rates)
-        # exp is exactly 0 below -745.2 but takes a slow path there; skip
-        # those entries in a chunk that has any (its last row has the largest tau)
-        if arg[-1].min() < -746.0:
-            expo = np.exp(arg, out=np.zeros_like(arg), where=arg > -746.0)
-        else:
-            # in place: one block-sized array, not two
-            expo = np.exp(arg, out=arg)
-        yield lo, expo @ comb.weights
+        t = taus[lo:lo + _CHUNK]
+        first, last = t[0] * neg_rates, t[-1] * neg_rates
+        normal = np.minimum(first, last) >= _NORMAL_ARG
+        all_normal = normal.all()
+        block = np.outer(t, neg_rates if all_normal else np.where(normal, neg_rates, 0.0))
+        np.exp(block, out=block)
+        if not all_normal:
+            block *= normal
+            edge = np.flatnonzero(~normal & (np.maximum(first, last) > _ZERO_ARG))
+            if edge.size:
+                sub = np.outer(t, neg_rates[edge])
+                block[:, edge] = np.exp(sub, out=np.zeros_like(sub),
+                                        where=sub > _ZERO_ARG)
+        yield lo, block @ comb.weights
 
 
 def comb_survival(comb: DeltaComb, taus) -> SurvivalCurve:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.special import rgamma
 
 from .durations import DurationSeries, SurvivalCurve
 
@@ -134,6 +133,13 @@ def _ml_series(z: float, beta: float) -> float:
         return float(total)
 
 
+def _rgamma(x: float) -> float:
+    """1/Gamma(x), which is 0 at the poles x = 0, -1, -2, ..."""
+    if x <= 0 and x == math.floor(x):
+        return 0.0
+    return 1.0 / math.gamma(x)
+
+
 def _ml_asymptotic(z: float, beta: float) -> float:
     # Divergent tail sum_n (-1)^(n-1) z^(-n) / Gamma(1 - beta*n),
     # truncated at its smallest term (standard optimal truncation).
@@ -143,7 +149,7 @@ def _ml_asymptotic(z: float, beta: float) -> float:
     zn = 1.0
     for n in range(1, 51):
         zn /= z
-        term = zn * float(rgamma(1.0 - beta * n))
+        term = zn * _rgamma(1.0 - beta * n)
         if abs(term) > prev:
             break
         total += sign * term

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spectrakit import synthetic
 from spectrakit.cli import main, parse_mixture, parse_value_list
 from spectrakit.durations import MAX_GRID_POINTS
 
@@ -115,6 +116,23 @@ def test_gen_ml_count_and_header(tmp_path):
     assert text[0].startswith("# mittag-leffler")
     assert "seed=7" in text[0]
     assert len(text) == 501
+
+
+def test_gen_streams_its_file(tmp_path):
+    # 200,000 values make a 4 MB file; built as one string it peaked at 24 MB
+    out = tmp_path / "exp.txt"
+    tracemalloc.start()
+    try:
+        assert run(["gen", "--exp", "0.1", "--n", "200000", "-o", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+    series = synthetic.gen_mixture(synthetic.MixtureSpec([1.0], [0.1]), 200_000, 0)
+    lines = out.read_text().split("\n")
+    assert lines[0] == "# exponential rate=0.1 n=200000 seed=0"
+    assert lines[1:-1] == [repr(float(v)) for v in series.values]
+    assert lines[-1] == ""
 
 
 def test_gen_requires_one_model(tmp_path):

@@ -368,6 +368,103 @@ def test_sweep_memory_is_bounded_by_the_chunk():
     assert peak < 64e6
 
 
+def _comb(rates, weights=None):
+    from spectrakit.delta_comb import DeltaComb
+    rates = np.asarray(rates, dtype=float)
+    weights = np.full(rates.size, 1.0 / rates.size) if weights is None else weights
+    return DeltaComb(weights=weights, rates=rates, m=rates.size, delta_t=1.0,
+                     window_counts=np.ones(rates.size, dtype=int),
+                     window_sums=1.0 / rates)
+
+
+def _rate_hitting(product: float, tau: float) -> float:
+    """A rate whose computed tau * rate is exactly ``product``, if one is near."""
+    rate = product / tau
+    near = (np.nextafter(rate, 0.0), rate, np.nextafter(rate, np.inf))
+    return next((r for r in near if tau * r == product), rate)
+
+
+@st.composite
+def comb_on_grid(draw):
+    """A comb and an increasing tau grid whose products lambda * tau land on
+    the column-class thresholds 708 and 746, between them, and across
+    block boundaries (edge in one block, dead in the next)."""
+    n_tau = draw(st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+                 | st.integers(1, 4 * _CHUNK))
+    start = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 50.0))
+    step = draw(st.sampled_from([0.25, 1.0]) | st.floats(0.01, 20.0))
+    taus = start + step * np.arange(n_tau)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # generic columns: lambda * tau_max spread from 1e-3 to 1e4
+    rates = list(10.0 ** rng.uniform(-3, 4, draw(st.integers(0, 40))) / taus[-1]
+                 if taus[-1] > 0 else [])
+    # 745.13: the last product whose exp is not 0 (the smallest subnormal)
+    targets = [708.0, 746.0, 745.13, draw(st.floats(708.0, 745.2))]
+    positive = np.flatnonzero(taus > 0)
+    if positive.size:
+        for _ in range(draw(st.integers(0, 30))):
+            product = draw(st.sampled_from(targets))
+            if draw(st.booleans()):
+                # at or next to the last tau of a block
+                ends = np.arange(_CHUNK - 1, n_tau, _CHUNK)
+                k = int(draw(st.sampled_from(ends.tolist() or [n_tau - 1])))
+                k = min(n_tau - 1, max(int(positive[0]), k + draw(st.integers(-2, 2))))
+            else:
+                k = int(draw(st.sampled_from(positive.tolist())))
+            rates.append(_rate_hitting(product, float(taus[k])))
+    if not rates:
+        rates = [draw(st.floats(1e-3, 100.0))]
+    rates = np.array(rates)
+    rng.shuffle(rates)
+    weights = rng.uniform(0.01, 1.0, rates.size)
+    return _comb(rates, weights / weights.sum()), taus
+
+
+@settings(max_examples=200, deadline=None)
+@given(comb_on_grid())
+def test_comb_survival_blocks_are_the_plain_exp_to_the_bit(case):
+    # every block is np.exp of the outer product, entry for entry, and takes
+    # the same block @ weights product, so this holds under any BLAS threads
+    comb, taus = case
+    psi = comb_survival(comb, taus).psi
+    for lo in range(0, taus.size, _CHUNK):
+        hi = lo + _CHUNK
+        assert np.array_equal(psi[lo:hi],
+                              np.exp(np.outer(taus[lo:hi], -comb.rates)) @ comb.weights)
+
+
+def test_class_thresholds_at_a_block_start():
+    # tau = 128 starts a block; a power of two makes lambda * tau exact.  A lone
+    # column with weight 1 has psi = exp(-lambda * tau) itself, so even the
+    # smallest subnormal (exp(-745.13)) shows
+    taus = np.arange(0.0, 3 * _CHUNK + 7.0)
+    start = float(taus[(128 // _CHUNK) * _CHUNK])
+    for product in (708.0, 745.13, 746.0):
+        rate = _rate_hitting(product, start)
+        assert start * rate == product
+        for comb in (_comb([rate]), _comb([rate, 2.0, 1e-4])):
+            expected = np.concatenate([
+                np.exp(np.outer(taus[lo:lo + _CHUNK], -comb.rates)) @ comb.weights
+                for lo in range(0, taus.size, _CHUNK)])
+            assert np.array_equal(comb_survival(comb, taus).psi, expected)
+    assert comb_survival(_comb([745.13 / start]), [start]).psi[0] == 5e-324
+
+
+def test_comb_survival_memory_is_a_few_blocks():
+    # m ~ 4,000 rates on a 40,000-point grid, most columns dead in late blocks:
+    # 1,024-row blocks with a where= mask peaked at 103 MB here
+    rng = np.random.default_rng(31)
+    comb = _comb(10.0 ** rng.uniform(-4.5, 0.0, 4_000))
+    taus = np.arange(1.0, 40_001.0)
+    tracemalloc.start()
+    try:
+        comb_survival(comb, taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_estimate_h_default_margin():
     from spectrakit.delta_comb import DeltaComb
     comb = DeltaComb(weights=np.array([1.0]), rates=np.array([0.226]),

@@ -1,15 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, rgamma
 from scipy.stats import kstest
 
 from spectrakit import (MixtureSpec, MlParams, empirical_survival,
                         gen_mittag_leffler, gen_mixture, ks_statistic,
                         ml_survival)
-from spectrakit.synthetic import _ml_asymptotic, _ml_series
+from spectrakit.synthetic import Z_SWITCH, _ml_asymptotic, _ml_series
 
 nan, inf = math.nan, math.inf
 
@@ -143,6 +146,42 @@ def test_ml_branch_agreement_around_switch():
     for beta in (0.6, 0.9, 0.95):
         for z in (28.0, 30.0, 32.0):
             assert abs(_ml_series(z, beta) - _ml_asymptotic(z, beta)) < 1e-6
+
+
+def _ml_asymptotic_rgamma(z, beta):
+    # the asymptotic tail as summed with scipy's rgamma before math.gamma
+    total, prev, sign, zn = 0.0, math.inf, 1.0, 1.0
+    for n in range(1, 51):
+        zn /= z
+        term = zn * float(rgamma(1.0 - beta * n))
+        if abs(term) > prev:
+            break
+        total += sign * term
+        if term != 0.0:
+            prev = abs(term)
+        sign = -sign
+    return total
+
+
+def test_ml_asymptotic_matches_scipy_rgamma():
+    # 1/math.gamma (0 at the poles) stands in for scipy.special.rgamma;
+    # the oracle moves by at most 1e-15 relative
+    for beta in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99):
+        params = MlParams(beta=beta, gamma=8.85)
+        taus = 8.85 * np.geomspace(Z_SWITCH * 1.0001, 1e6, 200) ** (1.0 / beta)
+        psi = ml_survival(params, taus).psi
+        ref = np.array([_ml_asymptotic_rgamma((tau / 8.85) ** beta, beta)
+                        for tau in taus])
+        assert np.all(np.abs(psi - ref) <= 1e-15 * np.abs(ref)), beta
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = "import sys, spectrakit.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_generators_reject_bad_n():
