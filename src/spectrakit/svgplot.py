@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 __all__ = ["line_plot_svg"]
@@ -11,6 +9,11 @@ __all__ = ["line_plot_svg"]
 _WIDTH, _HEIGHT = 640, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 50
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
+
+
+def _escape(text: str) -> str:
+    # xml.sax.saxutils.escape without its import: "&" first, then "<", ">"
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _transform(values, log: bool):
@@ -68,14 +71,14 @@ def line_plot_svg(curves, title: str = "", xlabel: str = "", ylabel: str = "",
     ]
     if title:
         parts.append(f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" '
-                     f'font-size="16">{escape(title)}</text>')
+                     f'font-size="16">{_escape(title)}</text>')
     if xlabel:
         parts.append(f'<text x="{_MARGIN_L + plot_w / 2}" y="{_HEIGHT - 12}" '
-                     f'text-anchor="middle" font-size="13">{escape(xlabel)}</text>')
+                     f'text-anchor="middle" font-size="13">{_escape(xlabel)}</text>')
     if ylabel:
         cy = _MARGIN_T + plot_h / 2
         parts.append(f'<text x="18" y="{cy}" text-anchor="middle" font-size="13" '
-                     f'transform="rotate(-90 18 {cy})">{escape(ylabel)}</text>')
+                     f'transform="rotate(-90 18 {cy})">{_escape(ylabel)}</text>')
     for i, tick in enumerate(np.linspace(x0, x1, 5)):
         x = px(tick)
         parts.append(f'<line x1="{x:.1f}" y1="{_MARGIN_T + plot_h}" '
@@ -102,6 +105,6 @@ def line_plot_svg(curves, title: str = "", xlabel: str = "", ylabel: str = "",
             parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" '
                          f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')
             parts.append(f'<text x="{lx + 30}" y="{ly}" font-size="12">'
-                         f'{escape(label)}</text>')
+                         f'{_escape(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .durations import DurationSeries, SurvivalCurve
@@ -109,14 +108,23 @@ def gen_mittag_leffler(p: MlParams, n: int, seed: int) -> DurationSeries:
     return DurationSeries.from_values(values)
 
 
-def _ml_series(z: float, beta: float) -> float:
+def _ml_series(z: float, beta: float, gammas: dict | None = None) -> float:
     # Power series sum_n (-z)^n / Gamma(1 + beta*n) in extended
     # precision; the terms peak near exp(z^(1/beta)) before the Gamma
-    # wins, so the working precision scales with that hump.
+    # wins, so the working precision scales with that hump.  gammas maps
+    # a precision to its Gamma(1 + beta*n) values for this beta, filled
+    # on first need: ml_survival passes one per call, and each entry is
+    # the same mpf expression at the same precision, so the sum keeps
+    # every bit.
+    import mpmath  # on first use, so that importing the CLI never loads it
+
     hump_digits = int(0.45 * z ** (1.0 / beta)) + 10
-    with mpmath.workdps(25 + hump_digits):
+    dps = 25 + hump_digits
+    gamma_n = [] if gammas is None else gammas.setdefault(dps, [])
+    with mpmath.workdps(dps):
         mz = mpmath.mpf(-z)
         mbeta = mpmath.mpf(beta)
+        tol = mpmath.mpf(10) ** (-20)
         total = mpmath.mpf(1)
         power = mpmath.mpf(1)
         n = 0
@@ -124,9 +132,11 @@ def _ml_series(z: float, beta: float) -> float:
         while True:
             n += 1
             power *= mz
-            term = power / mpmath.gamma(1 + mbeta * n)
+            if n > len(gamma_n):
+                gamma_n.append(mpmath.gamma(1 + mbeta * n))
+            term = power / gamma_n[n - 1]
             total += term
-            if n > hump and abs(term) < mpmath.mpf(10) ** (-20):
+            if n > hump and abs(term) < tol:
                 break
             if n > 100000:
                 raise RuntimeError("Mittag-Leffler series failed to converge")
@@ -174,12 +184,13 @@ def ml_survival(p: MlParams, taus) -> SurvivalCurve:
         psi = np.exp(-taus / p.gamma)
         return SurvivalCurve(taus=taus, psi=psi, n_source=0)
     psi = np.empty_like(taus)
+    gammas = {}  # Gamma(1 + beta*n) by precision, for this call only
     for idx, tau in enumerate(taus):
         z = (tau / p.gamma) ** p.beta
         if z == 0.0:
             psi[idx] = 1.0
         elif z <= Z_SWITCH:
-            psi[idx] = _ml_series(z, p.beta)
+            psi[idx] = _ml_series(z, p.beta, gammas)
         else:
             psi[idx] = _ml_asymptotic(z, p.beta)
     return SurvivalCurve(taus=taus, psi=psi, n_source=0)

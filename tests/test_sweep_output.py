@@ -3,6 +3,7 @@ and the CSV table round-trip."""
 
 import io
 import re
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -91,6 +92,25 @@ def test_polyline_points_skip_non_finite_and_non_positive():
     assert re.findall(r'points="([^"]*)"', lin) == [
         "70.00,40.00 96.19,196.00 122.38,352.00 148.57,430.00 279.52,342.64 "
         "620.00,351.97"]
+
+
+TEXTS = ["a & b", "<g>", "x > 0 & y < 1", "\"quoted\" 'single'", "&amp;", "&lt;&gt;",
+         "ψ(τ) — Δt ≥ 2 µs", "", "&&<<>>", "plain"]
+
+
+@given(st.lists(st.sampled_from(TEXTS) | st.text(), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_svg_escape_is_saxutils_escape(pieces):
+    text = "".join(pieces)
+    assert svgplot._escape(text) == escape(text)
+
+
+def test_svg_titles_and_labels_are_escaped():
+    x = np.array([1.0, 2.0])
+    texts = {"title": "a & b", "xlabel": "&amp;", "ylabel": "ψ(τ) — Δt ≥ 2 µs"}
+    svg = svgplot.line_plot_svg([(x, x, "x > 0 & y < 1")], **texts)
+    for text in (*texts.values(), "x > 0 & y < 1"):
+        assert f">{escape(text)}</text>" in svg
 
 
 finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)

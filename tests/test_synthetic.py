@@ -184,6 +184,87 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
+def _ml_series_reference(z, beta):
+    # _ml_series as it was before its Gamma table: one mpmath.gamma per
+    # term and tau
+    hump_digits = int(0.45 * z ** (1.0 / beta)) + 10
+    with mpmath.workdps(25 + hump_digits):
+        mz = mpmath.mpf(-z)
+        mbeta = mpmath.mpf(beta)
+        total = mpmath.mpf(1)
+        power = mpmath.mpf(1)
+        n = 0
+        hump = z ** (1.0 / beta)
+        while True:
+            n += 1
+            power *= mz
+            term = power / mpmath.gamma(1 + mbeta * n)
+            total += term
+            if n > hump and abs(term) < mpmath.mpf(10) ** (-20):
+                break
+        return float(total)
+
+
+def _ml_survival_reference(params, taus):
+    psi = []
+    for tau in taus:
+        z = (tau / params.gamma) ** params.beta
+        if z == 0.0:
+            psi.append(1.0)
+        elif z <= Z_SWITCH:
+            psi.append(_ml_series_reference(z, params.beta))
+        else:
+            psi.append(_ml_asymptotic(z, params.beta))
+    return np.array(psi)
+
+
+@pytest.mark.parametrize("beta, z_max", [(0.5, 6.0), (0.6, 6.0), (0.8, Z_SWITCH),
+                                         (0.9, Z_SWITCH), (0.95, Z_SWITCH),
+                                         (0.99, Z_SWITCH)])
+def test_ml_gamma_table_keeps_every_bit(beta, z_max):
+    # a dense grid crosses many working-precision steps with several tau
+    # to each step; for z_max = Z_SWITCH it also crosses the switch
+    params = MlParams(beta=beta, gamma=8.85)
+    taus = params.gamma * np.linspace(0.0, 1.05 * z_max, 60) ** (1.0 / beta)
+    psi = ml_survival(params, taus).psi
+    assert np.array_equal(psi, _ml_survival_reference(params, taus))
+    # repeated z, in falling and rising order, reuse one table at term
+    # counts both below and above the one that filled it
+    zs = [z for z in (taus / params.gamma) ** beta if 0.0 < z <= Z_SWITCH][::4]
+    zs = zs[::-1] + zs + zs[::2]
+    gammas = {}
+    assert ([_ml_series(z, beta, gammas) for z in zs]
+            == [_ml_series_reference(z, beta) for z in zs])
+
+
+def test_ml_survival_evaluates_each_gamma_once(monkeypatch):
+    calls = []
+    gamma = mpmath.gamma
+
+    def counting_gamma(x):
+        calls.append((mpmath.mp.prec, x))
+        return gamma(x)
+
+    monkeypatch.setattr(mpmath, "gamma", counting_gamma)
+    ml_survival(MlParams(beta=0.95, gamma=8.85), np.arange(1.0, 197.0))
+    assert len(set(calls)) == len(calls)
+    assert len(calls) < 1000  # 12,398 with one Gamma per term and tau
+
+
+def test_cli_import_leaves_mpmath_and_xml_out():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = ("import sys, spectrakit.cli\n"
+            "print(*[m in sys.modules for m in ('mpmath', 'xml.sax', 'urllib.request')])\n"
+            "from spectrakit import MlParams, ml_survival\n"
+            "psi = ml_survival(MlParams(beta=0.5, gamma=1.0), [0.0, 1.0]).psi\n"
+            "print(repr(float(psi[1])), 'mpmath' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False False False", f"{_ml_series_reference(1.0, 0.5)!r} True"]
+
+
 def test_generators_reject_bad_n():
     with pytest.raises(ValueError):
         gen_mixture(MixtureSpec(weights=[1.0], rates=[1.0]), 0, seed=1)
