@@ -74,7 +74,7 @@ def parse_mixture(text: str) -> synthetic.MixtureSpec:
 
 
 def _load_series(args):
-    with open(args.input, encoding="utf-8") as fh:
+    with open(args.input, encoding="utf-8-sig") as fh:
         return load_durations(fh, mode=args.mode, max_duration=args.max_duration)
 
 
@@ -180,7 +180,7 @@ def cmd_tikhonov(args) -> None:
                sol.spectrum)
     _write_csv(args.out_prefix + "_survival.csv",
                lambda rows, sink: write_table(sink, "tau,psi_empirical,psi_rebuilt",
-                                              "{:g},{:.6f},{:.6f}", rows),
+                                              "{:.12g},{:.6f},{:.6f}", rows),
                zip(K.taus.tolist(), curve.psi.tolist(), sol.rebuilt.psi.tolist()))
     _echo(args, [("input", args.input), ("h", f"{h:g}"), ("n", args.n),
                  ("mu_count", len(solutions)), ("best_mu", f"{sol.mu:g}"),

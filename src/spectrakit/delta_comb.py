@@ -186,8 +186,8 @@ def fit_comb(series: DurationSeries, delta_t: float,
     )
 
 
-# tau rows per exp block: a block holds _CHUNK x m floats (~2 MB at m = 4,000,
-# which stays in L2), whatever n_tau is
+# tau rows per exp block: a block holds at most _CHUNK x m floats (~2 MB at
+# m = 4,000, which stays in L2), whatever n_tau is
 _CHUNK = 64
 # exp(x) is a normal float for x >= _NORMAL_ARG and exactly +0.0 for x <= _ZERO_ARG
 _NORMAL_ARG = -708.0
@@ -197,45 +197,44 @@ _ZERO_ARG = -746.0
 def _psi_chunks(comb: DeltaComb, taus: np.ndarray):
     """Yield (lo, psi[lo:lo+_CHUNK]) of the comb survival on a 1-d tau grid.
 
-    Each block is np.exp(np.outer(taus[lo:hi], -rates)) entry for entry,
-    and psi is that block @ weights, so the curve equals
-    np.exp(-np.outer(taus, rates)) @ weights to the bit.  Only the exp
-    calls are cut down.  Across one block the argument -lambda*tau of a
-    column runs between its values at the block's first and last tau
-    (the grid is increasing, as SurvivalCurve requires), which sorts the
-    columns into three classes:
+    Taus increase (as SurvivalCurve requires), so on a block a column's
+    argument -lambda*tau is lowest at the last tau.  Blocks where every
+    argument is above the block's cut are exp(np.outer(t, -rates)) @
+    weights.  From the first other block on, the rates are sorted, weights
+    alongside: the columns with an argument above the cut form a prefix
+    [0, k), those with all above it a prefix [0, j), and the block is exp
+    of np.outer(t, -rates[:k]) in place, with its arguments at or below
+    the cut in columns [j, k) set to -inf first (a subnormal exp result
+    costs ~100x a normal one or -inf), then @ weights[:k].
 
-    - normal: every argument >= -708, so exp is a normal float; the
-      whole block takes one plain in-place exp;
-    - dead: every argument <= -746, so exp is exactly +0.0;
-    - edge: the rest, which run into the subnormal range.
-
-    A block with dead or edge columns zeroes their arguments before the
-    plain exp and multiplies the result by the normal mask, which turns
-    those columns into +0.0; the edge columns are then recomputed on a
-    compact array, where exp skips the arguments <= -746 (exactly 0, but
-    on exp's slow path).
+    The cut is -708 while the smallest rate's term keeps psi >= 2**-967
+    on the block: the skipped terms, each below exp(-708) with weights
+    summing to 1, stay under half its ulp (>= 2**-1021).  Otherwise the
+    cut is -746, which skips only exact zeros: psi is 0 exactly where the
+    full product np.exp(-np.outer(taus, rates)) @ weights is, and within
+    1e-14 relative of it (summed in rate order, not to the bit).
     """
-    neg_rates = -comb.rates
+    neg_rates, weights = -comb.rates, comb.weights
+    low, ordered = np.argmin(comb.rates), False
     for lo in range(0, taus.size, _CHUNK):
         t = taus[lo:lo + _CHUNK]
-        first, last = t[0] * neg_rates, t[-1] * neg_rates
-        normal = np.minimum(first, last) >= _NORMAL_ARG
-        all_normal = normal.all()
-        block = np.outer(t, neg_rates if all_normal else np.where(normal, neg_rates, 0.0))
+        floor = weights[low] * np.exp(neg_rates[low] * t[-1])
+        cut = _NORMAL_ARG if floor >= 2.0 ** -967 else _ZERO_ARG
+        if not ordered and np.min(t[-1] * neg_rates) <= cut:
+            order = np.argsort(comb.rates, kind="stable")
+            neg_rates, weights, low, ordered = neg_rates[order], weights[order], 0, True
+        k = np.count_nonzero(t[0] * neg_rates > cut)
+        j = np.count_nonzero(t[-1] * neg_rates[:k] > cut)
+        block = np.outer(t, neg_rates[:k])
+        band = block[:, j:]
+        np.copyto(band, -np.inf, where=band <= cut)
         np.exp(block, out=block)
-        if not all_normal:
-            block *= normal
-            edge = np.flatnonzero(~normal & (np.maximum(first, last) > _ZERO_ARG))
-            if edge.size:
-                sub = np.outer(t, neg_rates[edge])
-                block[:, edge] = np.exp(sub, out=np.zeros_like(sub),
-                                        where=sub > _ZERO_ARG)
-        yield lo, block @ comb.weights
+        yield lo, block @ weights[:k]
 
 
 def comb_survival(comb: DeltaComb, taus) -> SurvivalCurve:
-    """Mixture survival Psi(tau) = sum_j a_j * exp(-lambda_j * tau)."""
+    """Mixture survival Psi(tau) = sum_j a_j * exp(-lambda_j * tau), within
+    1e-14 relative and 0 exactly where every term is (see _psi_chunks)."""
     taus = np.asarray(taus, dtype=float)
     psi = np.empty(taus.size)
     for lo, chunk in _psi_chunks(comb, taus.ravel()):

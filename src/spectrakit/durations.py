@@ -234,7 +234,7 @@ def read_table(lines, header: str) -> np.ndarray:
 
 
 def write_survival_csv(curve: SurvivalCurve, stream) -> None:
-    write_table(stream, "tau,psi", "{:g},{:.6f}",
+    write_table(stream, "tau,psi", "{:.12g},{:.6f}",
                 zip(curve.taus.tolist(), curve.psi.tolist()))
 
 

@@ -277,6 +277,18 @@ def test_survival_rejects_non_finite_duration(tmp_path, capsys):
         assert "line 2" in capsys.readouterr().err
 
 
+def test_input_with_a_utf8_bom(tmp_path, capsys):
+    # editors on Windows start UTF-8 files with U+FEFF; it is not part of line 1
+    outs = []
+    for name, bom in (("plain", ""), ("bom", "\ufeff")):
+        data = tmp_path / f"{name}.txt"
+        data.write_text(bom + "# header\n1\n2\n3\n", encoding="utf-8")
+        outs.append(tmp_path / f"{name}.csv")
+        assert run(["survival", "--input", str(data), "-o", str(outs[-1])]) == 0
+    assert capsys.readouterr().err == ""
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_missing_input_file(tmp_path):
     assert run(["survival", "--input", str(tmp_path / "nope.txt"),
                 "-o", str(tmp_path / "s.csv")]) == 1

@@ -310,9 +310,28 @@ def test_early_exit_ks_equals_full_grid_max(n_tau, start, step, seed, n, dt_over
         assert sol.ks.statistic == d
 
 
-_OLD_FORMULA_CHECK = """
+def assert_close_to_oracle(comb, taus, psi):
+    """comb_survival's stated tolerance, against the same exp terms:
+
+    - within 1e-14 relative of their math.fsum; a term that rounds into the
+      subnormal range is off by up to half of 2**-1074, hence m * 2**-1074
+      absolute on top;
+    - exactly 0 where the full product np.exp(-np.outer(taus, rates)) @
+      weights is 0;
+    - a lone column of weight 1 is exp(-lambda * tau) itself, to the bit.
+    """
+    exps = np.exp(-np.outer(taus, comb.rates))
+    oracle = np.array([math.fsum(row) for row in exps * comb.weights])
+    assert np.all(np.abs(psi - oracle) <= 1e-14 * oracle + comb.m * 2.0 ** -1074)
+    assert np.array_equal(psi == 0, exps @ comb.weights == 0)
+    if comb.m == 1 and comb.weights[0] == 1.0:
+        assert np.array_equal(psi, exps[:, 0])
+
+
+_ORACLE_CHECK = """
 import numpy as np
 from spectrakit import DeltaComb, DurationSeries, comb_survival, fit_comb
+from test_delta_comb import assert_close_to_oracle
 rng = np.random.default_rng(29)
 series = DurationSeries.from_values(rng.exponential(1.0, 5000)
                                     * 10.0 ** rng.uniform(0, 3, 5000))
@@ -320,34 +339,29 @@ cases = [(fit_comb(series, dt), taus) for dt in (30.0, 3000.0, 300000.0)
          for taus in (np.arange(0.0, 5.0), np.arange(1.0, 2500.0),
                       np.arange(1.0, 30000.0, 9.0))]
 # Psi itself runs through the subnormal range, where every exp term counts
-few = DeltaComb(weights=np.array([0.2, 0.3, 0.5]), rates=np.array([1.0, 1.5, 2.0]),
-                m=3, delta_t=1.0, window_counts=np.array([1, 1, 1]),
-                window_sums=np.ones(3))
-cases.append((few, np.arange(0.0, 800.0, 0.5)))
+for rates, weights in (([1.0, 1.5, 2.0], [0.2, 0.3, 0.5]), ([1.0], [1.0])):
+    few = DeltaComb(weights=np.array(weights), rates=np.array(rates), m=len(rates),
+                    delta_t=1.0, window_counts=np.ones(len(rates), dtype=int),
+                    window_sums=1.0 / np.array(rates))
+    cases.append((few, np.arange(0.0, 800.0, 0.5)))
 for comb, taus in cases:
-    new = comb_survival(comb, taus).psi
-    old = np.exp(-np.outer(taus, comb.rates)) @ comb.weights
-    if {exact}:
-        assert np.array_equal(new, old), (comb.delta_t, taus.size)
-    else:
-        assert np.allclose(new, old, rtol=1e-15, atol=0), (comb.delta_t, taus.size)
+    assert_close_to_oracle(comb, taus, comb_survival(comb, taus).psi)
 print("ok")
 """
 
 
-@pytest.mark.parametrize("blas_threads, exact", [("1", True), (None, False)],
-                         ids=["one-thread-bitwise", "threaded-1e-15"])
-def test_chunked_comb_survival_matches_full_matrix(blas_threads, exact):
-    # the chunks' underflow mask and block split keep every entry of the
-    # single full-matrix product; threaded BLAS may split a row's dot product
+@pytest.mark.parametrize("blas_threads", ["1", None], ids=["one-thread", "threaded"])
+def test_chunked_comb_survival_matches_full_matrix(blas_threads):
+    # blocks from the first cut on sum their live terms in rate order, and
+    # threaded BLAS may split a row's dot product: both stay within the tolerance
+    here = os.path.dirname(__file__)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src"),
-         os.environ.get("PYTHONPATH", "")]))
+        [os.path.join(here, "..", "src"), here, os.environ.get("PYTHONPATH", "")]))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         env.pop(var, None)
         if blas_threads:
             env[var] = blas_threads
-    proc = subprocess.run([sys.executable, "-c", _OLD_FORMULA_CHECK.format(exact=exact)],
+    proc = subprocess.run([sys.executable, "-c", _ORACLE_CHECK],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
@@ -387,8 +401,8 @@ def _rate_hitting(product: float, tau: float) -> float:
 @st.composite
 def comb_on_grid(draw):
     """A comb and an increasing tau grid whose products lambda * tau land on
-    the column-class thresholds 708 and 746, between them, and across
-    block boundaries (edge in one block, dead in the next)."""
+    the cuts 708 and 746, between them, and across block boundaries (live
+    in one block, skipped in the next)."""
     n_tau = draw(st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
                  | st.integers(1, 4 * _CHUNK))
     start = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 50.0))
@@ -422,31 +436,31 @@ def comb_on_grid(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(comb_on_grid())
-def test_comb_survival_blocks_are_the_plain_exp_to_the_bit(case):
-    # every block is np.exp of the outer product, entry for entry, and takes
-    # the same block @ weights product, so this holds under any BLAS threads
+def test_comb_survival_matches_an_fsum_oracle(case):
+    comb, taus = case
+    assert_close_to_oracle(comb, taus, comb_survival(comb, taus).psi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(comb_on_grid())
+def test_comb_survival_is_monotone_within_the_early_exit_margin(case):
+    # _ks_distance stops once max(psi, psi_emp) * (1 + 1e-12) <= sup
     comb, taus = case
     psi = comb_survival(comb, taus).psi
-    for lo in range(0, taus.size, _CHUNK):
-        hi = lo + _CHUNK
-        assert np.array_equal(psi[lo:hi],
-                              np.exp(np.outer(taus[lo:hi], -comb.rates)) @ comb.weights)
+    assert np.all(psi[1:] <= psi[:-1] * (1 + 1e-12))
 
 
 def test_class_thresholds_at_a_block_start():
-    # tau = 128 starts a block; a power of two makes lambda * tau exact.  A lone
-    # column with weight 1 has psi = exp(-lambda * tau) itself, so even the
-    # smallest subnormal (exp(-745.13)) shows
+    # tau = 128 starts a block; a power of two makes lambda * tau exact, so the
+    # products sit on the cuts 708 and 746 and on 745.13, the last one whose
+    # exp is not 0 (the smallest subnormal)
     taus = np.arange(0.0, 3 * _CHUNK + 7.0)
     start = float(taus[(128 // _CHUNK) * _CHUNK])
     for product in (708.0, 745.13, 746.0):
         rate = _rate_hitting(product, start)
         assert start * rate == product
         for comb in (_comb([rate]), _comb([rate, 2.0, 1e-4])):
-            expected = np.concatenate([
-                np.exp(np.outer(taus[lo:lo + _CHUNK], -comb.rates)) @ comb.weights
-                for lo in range(0, taus.size, _CHUNK)])
-            assert np.array_equal(comb_survival(comb, taus).psi, expected)
+            assert_close_to_oracle(comb, taus, comb_survival(comb, taus).psi)
     assert comb_survival(_comb([745.13 / start]), [start]).psi[0] == 5e-324
 
 

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from spectrakit import SurvivalCurve, delta_comb, svgplot
 from spectrakit.cli import main
 from spectrakit.delta_comb import DeltaComb, read_comb_csv, write_comb_csv
-from spectrakit.durations import read_survival_csv, write_survival_csv
+from spectrakit.durations import (MAX_GRID_POINTS, read_survival_csv,
+                                  write_survival_csv)
 from spectrakit.tikhonov import (SpectrumGrid, read_spectrum_csv,
                                  write_spectrum_csv)
 
@@ -128,15 +129,19 @@ def _roundtrip(write, read, value):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(0, 999_999), min_size=1, max_size=30, unique=True),
-       st.data())
-def test_survival_csv_roundtrip_property(taus, data):
-    taus = np.sort(np.array(taus, dtype=float))
+@given(st.lists(st.integers(0, MAX_GRID_POINTS), min_size=1, max_size=30, unique=True),
+       st.sampled_from([1, 3, 7, 1000]), st.data())
+def test_survival_csv_roundtrip_property(ticks, denominator, data):
+    # whole taus up to the grid limit come back exactly, fractional ones to
+    # 12 digits; at six digits 1e6 and 1e6 + 1 would both read '1e+06'
+    taus = np.sort(np.array(ticks, dtype=float)) / denominator
     psi = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=taus.size,
                                       max_size=taus.size)))
     back = _roundtrip(write_survival_csv, read_survival_csv,
                       SurvivalCurve(taus=taus, psi=psi))
-    assert np.array_equal(back.taus, taus)
+    if denominator == 1:
+        assert np.array_equal(back.taus, taus)
+    assert np.allclose(back.taus, taus, rtol=1e-11, atol=0)
     assert np.allclose(back.psi, psi, rtol=0, atol=5e-7)
 
 
