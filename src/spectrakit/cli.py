@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 
-from . import delta_comb, svgplot, synthetic, tikhonov
+from . import delta_comb, gof, svgplot, synthetic, tikhonov
 from .durations import (MAX_GRID_POINTS, default_tau_grid, empirical_survival,
                         load_durations, write_survival_csv, write_table)
 from .kernel import assemble_kernel, check_kernel_size
@@ -160,6 +160,8 @@ def cmd_survival(args) -> None:
 
 def cmd_tikhonov(args) -> None:
     check_kernel_size(args.n)
+    mus = gof.check_grid("mu", parse_value_list(args.mu) if args.mu
+                         else tikhonov.default_mu_grid())
     series = _load_series(args)
     if args.auto_h:
         dts = delta_comb.default_delta_t_grid(series)
@@ -171,7 +173,6 @@ def cmd_tikhonov(args) -> None:
         h = args.h
     K = assemble_kernel(h, args.n)
     curve = empirical_survival(series, K.taus)
-    mus = parse_value_list(args.mu) if args.mu else tikhonov.default_mu_grid()
     solutions, best = tikhonov.sweep_mu(K, curve, mus)
     sol = solutions[best]
 

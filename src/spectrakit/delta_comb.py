@@ -62,12 +62,11 @@ class CombSolution:
         return comb_survival(self.comb, self.taus)
 
 
-def _scan(values, delta_t: float, counts: list, sums: list) -> bool:
+def _scan(values, delta_t: float, counts: list, sums: list) -> None:
     """The sequential window scan: add the durations one by one.
 
     Appends the count and sum of each window, and of a trailing run
-    that never exceeded delta_t, to ``counts`` and ``sums``; returns
-    whether there was such a trailing run.
+    that never exceeded delta_t, to ``counts`` and ``sums``.
     """
     cur_n, cur_t = 0, 0.0
     for tau in values:
@@ -80,7 +79,6 @@ def _scan(values, delta_t: float, counts: list, sums: list) -> bool:
     if cur_n:
         counts.append(cur_n)
         sums.append(cur_t)
-    return cur_n > 0
 
 
 def _candidate_ends(csum, delta_t: float) -> list:
@@ -133,15 +131,14 @@ def _sequential_sums(values: np.ndarray, starts: np.ndarray,
     return last, before
 
 
-def fit_comb(series: DurationSeries, delta_t: float,
-             drop_tail: bool = False) -> DeltaComb:
+def fit_comb(series: DurationSeries, delta_t: float) -> DeltaComb:
     """Split the duration stream into windows of ~constant activity.
 
     A window is the shortest run of consecutive durations, from the end
     of the previous one, whose running sum strictly exceeds delta_t.  A
     trailing run whose sum never exceeds delta_t becomes a final partial
-    window (keeping the weights summing to 1 exactly) unless drop_tail
-    is set, in which case the remaining weights are renormalized.
+    window, so every duration is in a window and the weights
+    counts / series.n sum to 1.
 
     Window ends are found by bisecting the series' prefix sums, one
     bisection per window.  Every window is then checked with its own
@@ -166,24 +163,12 @@ def fit_comb(series: DurationSeries, delta_t: float,
     if bad.size:
         k = int(bad[0])
         counts, sums = window_counts[:k].tolist(), last[:k].tolist()
-        has_tail = _scan(values[starts[k]:].tolist(), delta_t, counts, sums)
+        _scan(values[starts[k]:].tolist(), delta_t, counts, sums)
         counts, sums = np.array(counts, dtype=int), np.array(sums, dtype=float)
     else:
-        has_tail, counts, sums = bool(is_tail[-1]), window_counts, last
-    if has_tail and drop_tail:
-        counts, sums = counts[:-1], sums[:-1]
-    if not counts.size:
-        raise ValueError(
-            f"delta_t={delta_t:g} swallows the whole series into one dropped tail")
-    denom = counts.sum() if (drop_tail and has_tail) else series.n
-    return DeltaComb(
-        weights=counts / denom,
-        rates=counts / sums,
-        m=len(counts),
-        delta_t=delta_t,
-        window_counts=counts,
-        window_sums=sums,
-    )
+        counts, sums = window_counts, last
+    return DeltaComb(weights=counts / series.n, rates=counts / sums, m=len(counts),
+                     delta_t=delta_t, window_counts=counts, window_sums=sums)
 
 
 # tau rows per exp block: a block holds at most _CHUNK x m floats (~2 MB at
@@ -296,17 +281,15 @@ def sweep_delta_t(series: DurationSeries, dts, taus=None):
     return sweep("delta_t", dts, one)
 
 
-def estimate_h(comb: DeltaComb, n: int, margin: float = 1.3) -> float:
-    """Lambda spacing h = margin * max(rates) / n for an n-point kernel.
+def estimate_h(comb: DeltaComb, n: int) -> float:
+    """Lambda spacing h = 1.3 * max(rates) / n for an n-point kernel.
 
     Chosen so the kernel's lambda range h..h*n brackets the comb's
-    largest observed rate with the given headroom.
+    largest observed rate with 30% headroom.
     """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
-    if margin < 1:
-        raise ValueError(f"margin must be >= 1, got {margin}")
-    return margin * float(comb.rates.max()) / n
+    return 1.3 * float(comb.rates.max()) / n
 
 
 _COMB_HEADER = "lambda,weight,window_count,window_sum"

@@ -9,10 +9,13 @@ import numpy as np
 
 from .durations import SurvivalCurve
 
-__all__ = ["KsReport", "ks_statistic", "ks_pvalue", "ks_compare", "sweep"]
+__all__ = ["KsReport", "ks_statistic", "ks_pvalue", "ks_compare", "check_grid",
+           "sweep"]
 
 _SERIES_TOL = 1e-12
 _MAX_TERMS = 100
+# every point of a sweep is solved and kept: five times the default mu grid
+MAX_SWEEP_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -63,23 +66,32 @@ def ks_compare(a: SurvivalCurve, b: SurvivalCurve, n_eff: int) -> KsReport:
     return KsReport(statistic=d, p_value=ks_pvalue(d, n_eff), n_eff=int(n_eff))
 
 
-def sweep(name: str, grid, solve):
-    """Run solve(v) for every v of a 1-d grid and pick the highest KS p-value.
-
-    The grid (a scalar counts as one point) is checked before any solve
-    runs: it must be non-empty and every value finite and > 0.  Returns
-    (results, best_index) with one result (anything with a ``ks``
-    KsReport) per grid value, in grid order; ties in p-value break
-    toward the larger grid value.
-    """
+def check_grid(name: str, grid) -> np.ndarray:
+    """The grid as a 1-d float array (a scalar is one point) if it holds 1 to
+    MAX_SWEEP_POINTS values, each finite and > 0; else raise ValueError."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.ndim != 1:
         raise ValueError(f"{name} sweep must be a 1-d list of values")
     if grid.size == 0:
         raise ValueError(f"{name} sweep is empty")
+    if grid.size > MAX_SWEEP_POINTS:
+        raise ValueError(f"{name} sweep has {grid.size} points "
+                         f"(limit {MAX_SWEEP_POINTS})")
     bad = grid[~(np.isfinite(grid) & (grid > 0))]
     if bad.size:
         raise ValueError(f"{name} must be finite and > 0, got {bad[0]:g}")
+    return grid
+
+
+def sweep(name: str, grid, solve):
+    """Run solve(v) for every v of a 1-d grid and pick the highest KS p-value.
+
+    The grid is checked by check_grid before any solve runs.  Returns
+    (results, best_index) with one result (anything with a ``ks``
+    KsReport) per grid value, in grid order; ties in p-value break
+    toward the larger grid value.
+    """
+    grid = check_grid(name, grid)
     results = [solve(v) for v in grid]
     best = max(range(grid.size), key=lambda i: (results[i].ks.p_value, grid[i]))
     return results, best

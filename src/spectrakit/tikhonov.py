@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .durations import SurvivalCurve, read_table, write_table
-from .gof import KsReport, ks_compare, sweep
+from .gof import KsReport, check_grid, ks_compare, sweep
 from .kernel import KernelMatrix
 
 __all__ = [
@@ -97,9 +97,9 @@ def solve_tikhonov(K, psi, mu: float) -> TikhonovSolution:
     return solutions[0]
 
 
-def default_mu_grid(n: int = 200, lo: float = 1e-6, hi: float = 1e2) -> np.ndarray:
+def default_mu_grid() -> np.ndarray:
     """Log-spaced regularization sweep, 200 points in [1e-6, 1e2]."""
-    return np.geomspace(lo, hi, n)
+    return np.geomspace(1e-6, 1e2, 200)
 
 
 def sweep_mu(K, psi, mus):
@@ -125,6 +125,7 @@ def sweep_mu(K, psi, mus):
         raise ValueError("psi is not sampled on the kernel's tau grid")
     lambdas = K.lambdas if is_kernel else np.arange(1.0, A.shape[1] + 1)
     n_eff = max(psi.n_source, 1)
+    mus = check_grid("mu", mus)
 
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     c = U.T @ b

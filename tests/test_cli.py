@@ -335,12 +335,15 @@ def test_huge_duration_refuses_default_grid(tmp_path, capsys, command):
      f"error: a 100000 x 100000 kernel has 10000000000 entries (limit {MAX_GRID_POINTS})"),
     (["tikhonov", "--n", "100000", "--auto-h"],
      f"error: a 100000 x 100000 kernel has 10000000000 entries (limit {MAX_GRID_POINTS})"),
+    (["tikhonov", "--mu", "1e-6:1e2:1001"], "error: mu sweep has 1001 points (limit 1000)"),
+    (["tikhonov", "--n", "2000", "--mu", "0"], "error: mu must be finite and > 0, got 0"),
+    (["comb", "--dt", "1:1000:1001"], "error: delta_t sweep has 1001 points (limit 1000)"),
 ])
 def test_oversize_sizes_are_refused_up_front(tmp_path, capsys, argv, message):
     data = tmp_path / "d.txt"
     data.write_text("1\n2\n3\n")
     out = tmp_path / "x"
-    if argv[0] == "tikhonov":
+    if argv[0] != "gen":
         argv = argv + ["--input", str(data)]
     tracemalloc.start()
     try:

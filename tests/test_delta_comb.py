@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectrakit import (DurationSeries, comb_survival, empirical_survival,
@@ -46,14 +46,6 @@ def test_tail_window_preserves_normalization():
     assert comb.rates[1] == pytest.approx(0.5)
 
 
-def test_drop_tail_renormalizes():
-    series = DurationSeries.from_values([3.0, 4.0, 2.0])
-    comb = fit_comb(series, 5.0, drop_tail=True)
-    assert comb.m == 1
-    assert comb.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert list(comb.window_counts) == [2]
-
-
 def test_weights_sum_exactly_one():
     rng = np.random.default_rng(21)
     for _ in range(10):
@@ -64,17 +56,13 @@ def test_weights_sum_exactly_one():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 500), st.integers(0, 2**32 - 1), st.floats(0.01, 100.0),
-       st.booleans())
-def test_weights_sum_to_one_property(n, seed, dt_over_mean, drop_tail):
+@given(st.integers(1, 500), st.integers(0, 2**32 - 1), st.floats(0.01, 100.0))
+def test_weights_sum_to_one_property(n, seed, dt_over_mean):
     values = np.random.default_rng(seed).exponential(3.0, n) + 1e-9
     series = DurationSeries.from_values(values)
-    dt = dt_over_mean * series.mean
-    assume(not drop_tail or values.sum() > dt)
-    comb = fit_comb(series, dt, drop_tail=drop_tail)
+    comb = fit_comb(series, dt_over_mean * series.mean)
     assert abs(comb.weights.sum() - 1.0) < 1e-12
-    assert comb.window_counts.sum() <= series.n
-    assert drop_tail or comb.window_counts.sum() == series.n
+    assert comb.window_counts.sum() == series.n
 
 
 def test_window_identities():
@@ -85,7 +73,7 @@ def test_window_identities():
     assert np.allclose(comb.weights, comb.window_counts / series.n, rtol=1e-15)
 
 
-def scan_windows(values, delta_t, drop_tail=False):
+def scan_windows(values, delta_t):
     """Reference windowing: the sequential scan, one duration at a time."""
     counts, sums = [], []
     cur_n, cur_t = 0, 0.0
@@ -96,23 +84,19 @@ def scan_windows(values, delta_t, drop_tail=False):
             counts.append(cur_n)
             sums.append(cur_t)
             cur_n, cur_t = 0, 0.0
-    if cur_n and not drop_tail:
+    if cur_n:
         counts.append(cur_n)
         sums.append(cur_t)
     return np.array(counts, dtype=int), np.array(sums, dtype=float)
 
 
-def assert_matches_scan(values, delta_t, drop_tail):
+def assert_matches_scan(values, delta_t):
     series = DurationSeries.from_values(values)
-    counts, sums = scan_windows(series.values, delta_t, drop_tail)
-    if counts.size == 0:
-        with pytest.raises(ValueError, match="swallows"):
-            fit_comb(series, delta_t, drop_tail=drop_tail)
-        return
-    comb = fit_comb(series, delta_t, drop_tail=drop_tail)
+    counts, sums = scan_windows(series.values, delta_t)
+    comb = fit_comb(series, delta_t)
     assert np.array_equal(comb.window_counts, counts)
     assert np.array_equal(comb.window_sums, sums)
-    assert np.array_equal(comb.weights, counts / (counts.sum() if drop_tail else series.n))
+    assert np.array_equal(comb.weights, counts / series.n)
     assert np.array_equal(comb.rates, counts / sums)
 
 
@@ -138,19 +122,18 @@ def boundary_series(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(boundary_series(), st.booleans())
-def test_fit_comb_equals_sequential_scan_at_boundaries(case, drop_tail):
+@given(boundary_series())
+def test_fit_comb_equals_sequential_scan_at_boundaries(case):
     values, delta_t = case
-    assert_matches_scan(values, delta_t, drop_tail)
+    assert_matches_scan(values, delta_t)
 
 
-@pytest.mark.parametrize("drop_tail", [False, True])
-def test_fit_comb_equals_sequential_scan_on_random_series(drop_tail):
+def test_fit_comb_equals_sequential_scan_on_random_series():
     rng = np.random.default_rng(41)
     for n in (1, 2, 3, 50, 5000):
         values = rng.exponential(3.0, n) + 1e-9
         for dt in (1e-3, 2.9, 30.0, 3.0 * n, 10.0 * n):
-            assert_matches_scan(values, dt, drop_tail)
+            assert_matches_scan(values, dt)
 
 
 def test_fit_comb_falls_back_to_the_scan(monkeypatch):
@@ -168,11 +151,10 @@ def test_fit_comb_falls_back_to_the_scan(monkeypatch):
 
     monkeypatch.setattr(delta_comb, "_scan", counting_scan)
     values = [0.1, 0.2, 0.1 * 3]
-    for drop_tail in (False, True):
-        comb = fit_comb(DurationSeries.from_values(values), 0.3, drop_tail=drop_tail)
-        assert list(comb.window_counts) == [2, 1]
-        assert list(comb.window_sums) == [0.1 + 0.2, 0.1 * 3]
-        assert_matches_scan(values, 0.3, drop_tail)
+    comb = fit_comb(DurationSeries.from_values(values), 0.3)
+    assert list(comb.window_counts) == [2, 1]
+    assert list(comb.window_sums) == [0.1 + 0.2, 0.1 * 3]
+    assert_matches_scan(values, 0.3)
     assert resumed[0] == [0.1 * 3]
     # a series whose every window passes never calls the scan
     resumed.clear()
@@ -288,24 +270,23 @@ def test_sweep_keeps_each_rebuilt_curve():
        | st.integers(1, 3 * _CHUNK),
        st.sampled_from([0.0, 1.0]) | st.floats(0.0, 100.0),
        st.floats(0.01, 50.0), st.integers(0, 2**32 - 1), st.integers(1, 300),
-       st.floats(0.5, 200.0), st.booleans(), st.sampled_from([1.0, 30.0, 1000.0]))
+       st.floats(0.5, 200.0), st.sampled_from([1.0, 30.0, 1000.0]))
 def test_early_exit_ks_equals_full_grid_max(n_tau, start, step, seed, n, dt_over_mean,
-                                            drop_tail, data_scale):
+                                            data_scale):
     # exponentials over four decades of scale
     rng = np.random.default_rng(seed)
     series = DurationSeries.from_values(
         rng.exponential(1.0, n) * 10.0 ** rng.uniform(0, 4, n) + 1e-9)
     taus = start + step * np.arange(n_tau)
     dt = dt_over_mean * series.mean
-    assume(not drop_tail or series.values.sum() > dt)
-    comb = fit_comb(series, dt, drop_tail=drop_tail)
+    comb = fit_comb(series, dt)
     # a sweep scores against its own data; rescaled data moves the largest
     # gap, and so the early exit, past the first chunk
     empirical = empirical_survival(
         DurationSeries.from_values(series.values * data_scale), taus)
     d = _ks_distance(comb, empirical)
     assert d == float(np.max(np.abs(comb_survival(comb, taus).psi - empirical.psi)))
-    if not drop_tail and data_scale == 1.0:
+    if data_scale == 1.0:
         (sol,), _ = sweep_delta_t(series, [dt], taus=taus)
         assert sol.ks.statistic == d
 
@@ -484,7 +465,7 @@ def test_estimate_h_default_margin():
     comb = DeltaComb(weights=np.array([1.0]), rates=np.array([0.226]),
                      m=1, delta_t=1.0, window_counts=np.array([1]),
                      window_sums=np.array([1 / 0.226]))
-    h = estimate_h(comb, 196, margin=1.3)
+    h = estimate_h(comb, 196)
     assert h == pytest.approx(0.0015, abs=1e-4)
 
 
@@ -493,9 +474,7 @@ def test_estimate_h_direct_and_linear_in_margin():
     comb = DeltaComb(weights=np.array([1.0]), rates=np.array([1.0]),
                      m=1, delta_t=1.0, window_counts=np.array([1]),
                      window_sums=np.array([1.0]))
-    assert estimate_h(comb, 100, margin=1.0) == pytest.approx(0.01)
-    assert estimate_h(comb, 100, margin=2.0) == pytest.approx(
-        2 * estimate_h(comb, 100, margin=1.0))
+    assert estimate_h(comb, 100) == pytest.approx(0.013)
 
 
 def test_default_delta_t_grid_brackets():

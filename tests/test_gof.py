@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spectrakit import SurvivalCurve, ks_compare, ks_pvalue, ks_statistic
-from spectrakit.gof import _SERIES_TOL, sweep
+from spectrakit.gof import _SERIES_TOL, MAX_SWEEP_POINTS, sweep
 
 
 def curve(psi, taus=None):
@@ -154,6 +154,7 @@ def test_sweep_ties_go_to_the_larger_value(grid, larger):
     ([1.0, 0.0], "mu must be finite and > 0, got 0"),
     ([-2.0, 1.0], "mu must be finite and > 0, got -2"),
     ([[1.0, 2.0]], "mu sweep must be a 1-d"),
+    (np.ones(MAX_SWEEP_POINTS + 1), "mu sweep has 1001 points .limit 1000."),
 ])
 def test_sweep_rejects_bad_grid_before_any_solve(grid, message):
     solve, calls = _stub_solve({1.0: 0.5, 2.0: 0.5})

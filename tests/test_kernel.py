@@ -47,12 +47,6 @@ def test_square_kernel_symmetric():
     assert np.array_equal(K.entries, K.entries.T)
 
 
-def test_rectangular_kernel():
-    K = assemble_kernel(0.1, 4, n_tau=7)
-    assert K.entries.shape == (7, 4)
-    assert K.entries[6, 3] == pytest.approx(math.exp(-0.1 * 4 * 7))
-
-
 def test_parameter_validation():
     with pytest.raises(ValueError):
         assemble_kernel(-1.0, 5)
@@ -63,19 +57,15 @@ def test_parameter_validation():
             assemble_kernel(h, 5)
     with pytest.raises(ValueError):
         assemble_kernel(0.1, 0)
-    with pytest.raises(ValueError):
-        assemble_kernel(0.1, 5, n_tau=0)
 
 
 def test_oversize_kernel_is_refused_before_allocation():
-    assert check_kernel_size(1, MAX_GRID_POINTS) == MAX_GRID_POINTS
-    assert check_kernel_size(3162) == 3162
+    check_kernel_size(3162)
     tracemalloc.start()
     try:
-        for n, n_tau in ((3163, None), (1, MAX_GRID_POINTS + 1), (100_000, None),
-                         (10, 10**18)):
+        for n in (3163, 100_000, 10**9):
             with pytest.raises(ValueError, match=f"kernel has .* entries .limit {MAX_GRID_POINTS}"):
-                assemble_kernel(0.1, n, n_tau)
+                assemble_kernel(0.1, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

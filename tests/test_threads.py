@@ -4,7 +4,7 @@ from spectrakit import (DurationSeries, assemble_kernel, empirical_survival,
                         sweep_delta_t, sweep_mu)
 
 
-def test_parallel_sweeps_match_sequential(monkeypatch):
+def test_repeated_sweeps_are_bit_identical():
     K = assemble_kernel(0.01, 40)
     rng = np.random.default_rng(55)
     series = DurationSeries.from_values(rng.exponential(5.0, 3000))
@@ -12,11 +12,9 @@ def test_parallel_sweeps_match_sequential(monkeypatch):
     mus = list(np.geomspace(1e-4, 1.0, 12))
     dts = list(np.geomspace(20, 500, 6))
 
-    monkeypatch.delenv("SPECTRAKIT_THREADS", raising=False)
     seq_sols, seq_best = sweep_mu(K, curve, mus)
     seq_combs, seq_cb = sweep_delta_t(series, dts, taus=K.taus)
 
-    monkeypatch.setenv("SPECTRAKIT_THREADS", "4")
     par_sols, par_best = sweep_mu(K, curve, mus)
     par_combs, par_cb = sweep_delta_t(series, dts, taus=K.taus)
 
