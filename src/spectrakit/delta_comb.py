@@ -179,8 +179,9 @@ _NORMAL_ARG = -708.0
 _ZERO_ARG = -746.0
 
 
-def _psi_chunks(comb: DeltaComb, taus: np.ndarray):
-    """Yield (lo, psi[lo:lo+_CHUNK]) of the comb survival on a 1-d tau grid.
+def _psi_chunks(rates: np.ndarray, weights: np.ndarray, taus: np.ndarray):
+    """Yield (lo, psi[lo:lo+_CHUNK]) of sum_j weights_j * exp(-rates_j * tau),
+    a comb's survival or synthetic.ml_survival's sum, on a 1-d tau grid.
 
     Taus increase (as SurvivalCurve requires), so on a block a column's
     argument -lambda*tau is lowest at the last tau.  Blocks where every
@@ -199,14 +200,13 @@ def _psi_chunks(comb: DeltaComb, taus: np.ndarray):
     full product np.exp(-np.outer(taus, rates)) @ weights is, and within
     1e-14 relative of it (summed in rate order, not to the bit).
     """
-    neg_rates, weights = -comb.rates, comb.weights
-    low, ordered = np.argmin(comb.rates), False
+    neg_rates, low, ordered = -rates, np.argmin(rates), False
     for lo in range(0, taus.size, _CHUNK):
         t = taus[lo:lo + _CHUNK]
         floor = weights[low] * np.exp(neg_rates[low] * t[-1])
         cut = _NORMAL_ARG if floor >= 2.0 ** -967 else _ZERO_ARG
         if not ordered and np.min(t[-1] * neg_rates) <= cut:
-            order = np.argsort(comb.rates, kind="stable")
+            order = np.argsort(rates, kind="stable")
             neg_rates, weights, low, ordered = neg_rates[order], weights[order], 0, True
         k = np.count_nonzero(t[0] * neg_rates > cut)
         j = np.count_nonzero(t[-1] * neg_rates[:k] > cut)
@@ -222,7 +222,7 @@ def comb_survival(comb: DeltaComb, taus) -> SurvivalCurve:
     1e-14 relative and 0 exactly where every term is (see _psi_chunks)."""
     taus = np.asarray(taus, dtype=float)
     psi = np.empty(taus.size)
-    for lo, chunk in _psi_chunks(comb, taus.ravel()):
+    for lo, chunk in _psi_chunks(comb.rates, comb.weights, taus.ravel()):
         psi[lo:lo + chunk.size] = chunk
     return SurvivalCurve(taus=taus, psi=psi, n_source=0)
 
@@ -238,7 +238,7 @@ def _ks_distance(comb: DeltaComb, empirical: SurvivalCurve) -> float:
     """
     emp = empirical.psi
     sup = 0.0
-    for lo, psi in _psi_chunks(comb, empirical.taus):
+    for lo, psi in _psi_chunks(comb.rates, comb.weights, empirical.taus):
         hi = lo + psi.size
         sup = max(sup, float(np.max(np.abs(psi - emp[lo:hi]))))
         if max(psi[-1], emp[hi - 1]) * (1 + 1e-12) <= sup:
