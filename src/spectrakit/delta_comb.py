@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .durations import (DurationSeries, SurvivalCurve, default_tau_grid,
                         empirical_survival, read_table, write_table)
@@ -109,25 +110,26 @@ def _sequential_sums(values: np.ndarray, starts: np.ndarray,
                      counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(last, before-last) running sums of each window values[start:start+count].
 
-    Windows are grouped by power-of-2 length and laid out as zero-padded
-    rows; cumsum along a row is a sequential accumulate and adding 0.0
-    changes nothing, so every partial sum equals the scan's own, to the
-    bit.  A one-duration window's before-last sum is 0.0.
+    Windows are grouped by power-of-2 length and gathered as rows of a
+    view of the zero-padded values; a row's cumsum is a sequential
+    accumulate, so its columns count - 1 and count - 2 hold the scan's own
+    partial sums, to the bit.  Width 0 is the one-duration windows: before 0.0.
     """
     last = np.empty(counts.size)
     before = np.zeros(counts.size)
     widths = np.frexp(counts - 1)[1]          # 2**widths >= counts
+    padded = np.concatenate((values, np.zeros((1 << int(widths.max())) - 1)))
     for width in np.unique(widths).tolist():
-        cols = np.arange(1 << width)
+        windows = sliding_window_view(padded, 1 << width)
         group = np.flatnonzero(widths == width)
         step = max(1, _BLOCK >> width)
         for rows in (group[lo:lo + step] for lo in range(0, group.size, step)):
-            block = values.take(starts[rows, None] + cols, mode="clip")
-            block[cols >= counts[rows, None]] = 0.0
+            block = windows[starts[rows]]
             partial = np.cumsum(block, axis=1, out=block)
-            last[rows] = partial[:, -1]
-            inner = counts[rows] >= 2
-            before[rows[inner]] = partial[inner, counts[rows[inner]] - 2]
+            at, n = np.arange(rows.size), counts[rows]
+            last[rows] = partial[at, n - 1]
+            if width:
+                before[rows] = partial[at, n - 2]
     return last, before
 
 

@@ -106,22 +106,29 @@ def _parse_lines(lines, start: int = 1):
 _PARSE_CHUNK = 16_384
 
 
+def _floats(strings) -> np.ndarray | None:
+    """float() of every string as an array, or None if one does not parse."""
+    try:
+        return np.fromiter(map(float, strings), dtype=float, count=len(strings))
+    except ValueError:
+        return None
+
+
 def _parse_numbers(lines) -> np.ndarray:
     """The numbers _parse_lines yields, converted a chunk of lines at a time.
 
-    Each chunk's data lines go through float() in one pass; only a chunk
-    holding a line that does not parse or is not finite is parsed again
-    line by line, to raise _parse_lines' 'line N: ...' error.
+    Each chunk goes through float() in one pass, as raw lines (float()
+    strips what str.strip() strips, and refuses blank and '#' lines) or
+    else as stripped data lines.  Only a chunk with a line that does not
+    parse or is not finite is parsed again line by line, for its error.
     """
     lines = iter(lines)
     parts, start = [], 1
     while chunk := list(islice(lines, _PARSE_CHUNK)):
-        data = [line for line in map(str.strip, chunk)
-                if line and not line.startswith("#")]
-        try:
-            part = np.fromiter(map(float, data), dtype=float, count=len(data))
-        except ValueError:
-            part = None
+        part = _floats(chunk)
+        if part is None:
+            part = _floats([line for line in map(str.strip, chunk)
+                            if line and not line.startswith("#")])
         if part is None or not np.isfinite(part).all():
             part = np.fromiter(_parse_lines(chunk, start), dtype=float)
         parts.append(part)

@@ -143,7 +143,8 @@ def ml_survival(p: MlParams, taus) -> SurvivalCurve:
         # sin(beta pi) / (2 pi beta (cosh u + cos beta pi)) without cancellation
         weights = step * math.sin(bpi) / (4.0 * bpi * (np.sinh(u / 2.0) ** 2
                                                        + math.cos(bpi / 2.0) ** 2))
-        chunks = _psi_chunks(np.exp(u / p.beta), weights, a)
-        psi[live] = np.concatenate([chunk for _, chunk in chunks])
+        with np.errstate(over="ignore"):  # an inf rate's terms are exactly 0
+            chunks = _psi_chunks(np.exp(u / p.beta), weights, a)
+            psi[live] = np.concatenate([chunk for _, chunk in chunks])
     # the weights sum to 1 only up to rounding, and Psi never exceeds 1
     return SurvivalCurve(taus=taus, psi=np.minimum(psi, 1.0), n_source=0)

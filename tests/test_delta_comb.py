@@ -136,6 +136,25 @@ def test_fit_comb_equals_sequential_scan_on_random_series():
             assert_matches_scan(values, dt)
 
 
+def test_fit_comb_equals_sequential_scan_past_one_row_per_block(monkeypatch):
+    # windows of 60k to 200k durations take rows of 2**16 to 2**18 columns,
+    # one row per block, and every row but the first runs past the end of
+    # the series into the zero padding; the check alone must pass them
+    from spectrakit import delta_comb
+
+    def no_scan(values, *args):
+        raise AssertionError(f"scan resumed with {len(values)} durations left")
+
+    values = np.random.default_rng(43).exponential(3.0, 200_000) + 1e-9
+    total = math.fsum(values)
+    for fraction in (0.3, 0.4, 0.7, 1.5):
+        with monkeypatch.context() as mp:
+            mp.setattr(delta_comb, "_scan", no_scan)
+            comb = fit_comb(DurationSeries.from_values(values), fraction * total)
+        assert comb.window_counts.max() > 1 << 15
+        assert_matches_scan(values, fraction * total)
+
+
 def test_fit_comb_falls_back_to_the_scan(monkeypatch):
     # 0.1 + 0.2 = 0.30000000000000004 > 0.3 closes the first window.  For
     # the second, csum[1] + 0.3 rounds up to csum[2], so bisection sees a

@@ -92,6 +92,32 @@ def test_fast_parse_keeps_line_numbers_past_a_chunk(monkeypatch):
     assert s.values.tolist() == [10.0, 12.0, 3.0]
 
 
+# float() and str.strip() share one whitespace rule; "\u200b" is not whitespace
+_SPACES = ["\xa0", "\x1c", "\x0c", " ", "\u3000", "\t", "\x85", "\u200b"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_TOKENS) | st.floats(-1e6, 1e6).map(repr),
+                          st.text(st.sampled_from(_SPACES), max_size=3),
+                          st.text(st.sampled_from(_SPACES), max_size=3)),
+                max_size=40),
+       st.sampled_from(["durations", "timestamps"]), st.sampled_from([1, 2, 3, 16_384]),
+       st.booleans())
+def test_fast_parse_equals_line_by_line_parse_under_unicode_space(rows, mode, chunk,
+                                                                  as_file):
+    # raw lines go to float() first, so any Unicode space around a token,
+    # on a '#' line or on an otherwise blank line must parse as it does
+    # after str.strip(): the same values, or the same 'line N: ...' error
+    text = "# header\n\n" + "".join(f"{pre}{token}{post}\n" for token, pre, post in rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(durations, "_PARSE_CHUNK", chunk)
+        fast = _load_or_error(text, mode, as_file)
+        mp.setattr(durations, "_parse_numbers",
+                   lambda lines: np.fromiter(durations._parse_lines(lines), dtype=float))
+        slow = _load_or_error(text, mode, as_file)
+    assert fast == slow
+
+
 def test_load_durations_empty_result():
     with pytest.raises(ValueError, match="no usable durations"):
         load_durations("-1\n0\n")

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -271,6 +272,16 @@ def test_ml_survival_refuses_too_many_nodes():
 def test_ml_survival_rejects_bad_grid(taus, message):
     with pytest.raises(ValueError, match=message):
         ml_survival(MlParams(beta=0.9, gamma=8.85), taus)
+
+
+def test_ml_survival_quiet_on_extreme_tau():
+    # rates e^(u/beta) past 1e308 overflow to inf, whose terms are exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = ml_survival(MlParams(beta=0.05, gamma=1.0), [5e-324]).psi
+        huge = ml_survival(MlParams(beta=0.5, gamma=1.0), np.geomspace(1e-5, 1.7e308, 40)).psi
+    assert 0 < tiny[0] < 1
+    assert np.all((huge > 0) & (huge < 1)) and np.all(np.diff(huge) <= 0)
 
 
 @settings(max_examples=60, deadline=None)
