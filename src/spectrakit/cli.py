@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 import tempfile
@@ -16,24 +15,22 @@ from .durations import (MAX_GRID_POINTS, default_tau_grid, empirical_survival,
 from .kernel import assemble_kernel, check_kernel_size
 
 
-def _atomic_write(path: str, pieces) -> None:
-    # Write the text pieces to a temp file in the target directory, then rename.
+def _atomic_write(path: str, write) -> None:
+    # Call write(fh) on a temp file next to path, then rename it to path with
+    # the mode open() gives a new file: 0o666 less the umask.
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+            write(fh)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _write_csv(path: str, writer, data) -> None:
-    sink = io.StringIO()
-    writer(data, sink)
-    _atomic_write(path, [sink.getvalue()])
 
 
 def parse_value_list(text: str) -> np.ndarray:
@@ -97,23 +94,12 @@ def _plot_sweep(prefix, grid, solutions, best, empirical, *,
     svg = svgplot.line_plot_svg(
         [(grid, np.array([s.ks.p_value for s in solutions]), "KS probability")],
         title=f"KS probability vs {name}", xlabel=xlabel, ylabel="p", log_x=True)
-    _atomic_write(f"{prefix}_ks_vs_{short}.svg", [svg])
+    _atomic_write(f"{prefix}_ks_vs_{short}.svg", lambda fh: fh.write(svg))
     svg = svgplot.line_plot_svg(
         [(empirical.taus, empirical.psi, "empirical"),
          (empirical.taus, solutions[best].rebuilt.psi, label)],
         title=title, xlabel="tau [s]", ylabel="Psi", log_y=True)
-    _atomic_write(f"{prefix}_fit.svg", [svg])
-
-
-# values per piece of a streamed gen file
-_GEN_PIECE = 1 << 16
-
-
-def _gen_lines(header: str, values: np.ndarray):
-    """The header line, then one line per value, in pieces of _GEN_PIECE values."""
-    yield header + "\n"
-    for lo in range(0, values.size, _GEN_PIECE):
-        yield "\n".join(map(repr, values[lo:lo + _GEN_PIECE].tolist())) + "\n"
+    _atomic_write(f"{prefix}_fit.svg", lambda fh: fh.write(svg))
 
 
 def cmd_gen(args) -> None:
@@ -135,7 +121,7 @@ def cmd_gen(args) -> None:
         series = synthetic.gen_mittag_leffler(params, args.n, args.seed)
         header = (f"# mittag-leffler beta={args.beta:g} gamma={args.gamma:g} "
                   f"n={args.n} seed={args.seed}")
-    _atomic_write(args.out, _gen_lines(header, series.values))
+    _atomic_write(args.out, lambda fh: write_table(fh, header, repr, series.values))
     _echo(args, [("out", args.out), ("n", series.n), ("seed", args.seed)])
 
 
@@ -144,7 +130,7 @@ def cmd_survival(args) -> None:
     taus = (parse_value_list(args.grid) if args.grid
             else default_tau_grid(series))
     curve = empirical_survival(series, taus)
-    _write_csv(args.out, write_survival_csv, curve)
+    _atomic_write(args.out, lambda fh: write_survival_csv(curve, fh))
     _echo(args, [("input", args.input), ("n", series.n),
                  ("mean", f"{series.mean:.6g}"), ("tau_max", f"{series.max:g}"),
                  ("dropped", series.dropped), ("out", args.out)])
@@ -155,7 +141,7 @@ def cmd_survival(args) -> None:
              (taus, reference, "exponential 1/mean")],
             title="Survival function", xlabel="tau [s]", ylabel="Psi",
             log_y=True)
-        _atomic_write(args.plot, [svg])
+        _atomic_write(args.plot, lambda fh: fh.write(svg))
 
 
 def cmd_tikhonov(args) -> None:
@@ -176,13 +162,14 @@ def cmd_tikhonov(args) -> None:
     solutions, best = tikhonov.sweep_mu(K, curve, mus)
     sol = solutions[best]
 
-    _write_csv(args.out_prefix + "_sweep.csv", tikhonov.write_mu_sweep_csv, solutions)
-    _write_csv(args.out_prefix + "_spectrum.csv", tikhonov.write_spectrum_csv,
-               sol.spectrum)
-    _write_csv(args.out_prefix + "_survival.csv",
-               lambda rows, sink: write_table(sink, "tau,psi_empirical,psi_rebuilt",
-                                              "{:.12g},{:.6f},{:.6f}", rows),
-               zip(K.taus.tolist(), curve.psi.tolist(), sol.rebuilt.psi.tolist()))
+    _atomic_write(args.out_prefix + "_sweep.csv",
+                  lambda fh: tikhonov.write_mu_sweep_csv(solutions, fh))
+    _atomic_write(args.out_prefix + "_spectrum.csv",
+                  lambda fh: tikhonov.write_spectrum_csv(sol.spectrum, fh))
+    _atomic_write(args.out_prefix + "_survival.csv",
+                  lambda fh: write_table(fh, "tau,psi_empirical,psi_rebuilt",
+                                         "{:.12g},{:.6f},{:.6f}".format,
+                                         K.taus, curve.psi, sol.rebuilt.psi))
     _echo(args, [("input", args.input), ("h", f"{h:g}"), ("n", args.n),
                  ("mu_count", len(solutions)), ("best_mu", f"{sol.mu:g}"),
                  ("ks_statistic", f"{sol.ks.statistic:.6g}"),
@@ -205,9 +192,10 @@ def cmd_comb(args) -> None:
     results, best = delta_comb.sweep_delta_t(series, dts, taus=taus)
     comb, report = results[best].comb, results[best].ks
 
-    _write_csv(args.out_prefix + "_sweep.csv", delta_comb.write_delta_t_sweep_csv,
-               results)
-    _write_csv(args.out_prefix + "_comb.csv", delta_comb.write_comb_csv, comb)
+    _atomic_write(args.out_prefix + "_sweep.csv",
+                  lambda fh: delta_comb.write_delta_t_sweep_csv(results, fh))
+    _atomic_write(args.out_prefix + "_comb.csv",
+                  lambda fh: delta_comb.write_comb_csv(comb, fh))
     _echo(args, [("input", args.input), ("dt_count", len(results)),
                  ("best_delta_t", f"{comb.delta_t:g}"), ("m", comb.m),
                  ("ks_statistic", f"{report.statistic:.6g}"),

@@ -299,9 +299,8 @@ _COMB_HEADER = "lambda,weight,window_count,window_sum"
 
 def write_comb_csv(comb: DeltaComb, stream) -> None:
     stream.write(f"# delta_t={comb.delta_t:.12g}\n")
-    write_table(stream, _COMB_HEADER, "{:.12g},{:.12g},{:d},{:.12g}",
-                zip(comb.rates.tolist(), comb.weights.tolist(),
-                    comb.window_counts.tolist(), comb.window_sums.tolist()))
+    write_table(stream, _COMB_HEADER, "{:.12g},{:.12g},{:d},{:.12g}".format,
+                comb.rates, comb.weights, comb.window_counts, comb.window_sums)
 
 
 def read_comb_csv(stream) -> DeltaComb:
@@ -320,6 +319,6 @@ def read_comb_csv(stream) -> DeltaComb:
 def write_delta_t_sweep_csv(results, stream) -> None:
     """Per-delta_t report: delta_t,m,ks_statistic,ks_pvalue."""
     write_table(stream, "delta_t,m,ks_statistic,ks_pvalue",
-                "{:.12g},{:d},{:.12g},{:.12g}",
-                ((r.comb.delta_t, r.comb.m, r.ks.statistic, r.ks.p_value)
-                 for r in results))
+                "{:.12g},{:d},{:.12g},{:.12g}".format,
+                *zip(*[(r.comb.delta_t, r.comb.m, r.ks.statistic, r.ks.p_value)
+                       for r in results]))

@@ -205,13 +205,25 @@ def empirical_survival(series: DurationSeries, taus) -> SurvivalCurve:
     return SurvivalCurve(taus=taus, psi=counts / series.n, n_source=series.n)
 
 
-def write_table(stream, header: str, fmt: str, rows) -> None:
-    """Write a CSV table: the header line, then fmt.format(*row) per row.
+# rows formatted at once by write_table
+_TABLE_ROWS = 1 << 16
 
-    Pass Python scalars (``ndarray.tolist()``): they format twice as fast.
+
+def write_table(stream, header: str, line, *columns) -> None:
+    """Write the header line, then line(*row) per row of the equal-length columns.
+
+    ``line`` formats one row of Python scalars, e.g. ``"{:.12g},{:.6f}".format``.
+    Rows are formatted _TABLE_ROWS at a time, so neither a whole column as
+    Python objects nor the whole text is ever held.
     """
-    line = fmt + "\n"
-    stream.write(header + "\n" + "".join([line.format(*row) for row in rows]))
+    columns = [np.asarray(c) for c in columns]
+    sizes = {c.size for c in columns}
+    if len(sizes) > 1:
+        raise ValueError(f"table columns must have equal lengths, got {sorted(sizes)}")
+    stream.write(header + "\n")
+    for lo in range(0, max(sizes, default=0), _TABLE_ROWS):
+        rows = map(line, *[c[lo:lo + _TABLE_ROWS].tolist() for c in columns])
+        stream.write("\n".join(rows) + "\n")
 
 
 def read_table(lines, header: str) -> np.ndarray:
@@ -241,8 +253,7 @@ def read_table(lines, header: str) -> np.ndarray:
 
 
 def write_survival_csv(curve: SurvivalCurve, stream) -> None:
-    write_table(stream, "tau,psi", "{:.12g},{:.6f}",
-                zip(curve.taus.tolist(), curve.psi.tolist()))
+    write_table(stream, "tau,psi", "{:.12g},{:.6f}".format, curve.taus, curve.psi)
 
 
 def read_survival_csv(stream, n_source: int = 0) -> SurvivalCurve:

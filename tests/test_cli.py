@@ -1,3 +1,5 @@
+import os
+import stat
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spectrakit import synthetic
+from spectrakit import cli, durations, synthetic
 from spectrakit.cli import main, parse_mixture, parse_value_list
 from spectrakit.durations import MAX_GRID_POINTS
 
@@ -188,6 +190,64 @@ def test_survival_hugs_exponential_reference(tmp_path):
     taus = np.array([float(r[0]) for r in rows])
     psi = np.array([float(r[1]) for r in rows])
     assert np.max(np.abs(psi - np.exp(-rate * taus))) < 0.02
+
+
+def test_output_modes_follow_the_umask(tmp_path):
+    data = tmp_path / "d.txt"
+    data.write_text("1\n2\n3\n")
+    old = os.umask(0o022)
+    try:
+        assert run(["gen", "--exp", "0.5", "--n", "10", "-o", str(tmp_path / "g.txt")]) == 0
+        assert run(["survival", "--input", str(data), "-o", str(tmp_path / "s.csv"),
+                    "--plot", str(tmp_path / "s.svg")]) == 0
+    finally:
+        os.umask(old)
+    for name in ("g.txt", "s.csv", "s.svg"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644, name
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):
+    # the writer streams its first piece of rows, then fails on the next
+    data = tmp_path / "d.txt"
+    data.write_text("\n".join(str(v) for v in range(1, 11)))
+    out = tmp_path / "s.csv"
+    out.write_text("old contents\n")
+    rows = []
+
+    def line(tau, psi):
+        if len(rows) == 4:
+            raise ValueError("formatter broke")
+        rows.append(tau)
+        return f"{tau},{psi}"
+
+    monkeypatch.setattr(durations, "_TABLE_ROWS", 4)
+    monkeypatch.setattr(cli, "write_survival_csv", lambda curve, stream:
+                        durations.write_table(stream, "tau,psi", line, curve.taus, curve.psi))
+    assert run(["survival", "--input", str(data), "-o", str(out)]) == 1
+    assert "error: formatter broke" in capsys.readouterr().err
+    assert len(rows) == 4
+    assert out.read_text() == "old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.txt", "s.csv"]
+
+
+def test_large_survival_table_streams(tmp_path):
+    # 10**6 rows; formatted as one table the write peaked at 154 MB
+    data = tmp_path / "d.txt"
+    data.write_text("\n".join(str(v) for v in range(1, 1001)))
+    out = tmp_path / "s.csv"
+    tracemalloc.start()
+    try:
+        assert run(["survival", "--input", str(data), "--grid", "1:1000000:1000000,lin",
+                    "-o", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    with open(out) as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 1_000_001
+    assert lines[:3] == ["tau,psi", "1,1.000000", "2,0.999000"]
+    assert lines[-1] == "1000000,0.000000"
 
 
 def test_survival_timestamps_mode(tmp_path):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from spectrakit import (DurationSeries, SurvivalCurve, durations, empirical_survival,
                         load_durations)
-from spectrakit.durations import (default_tau_grid, read_survival_csv,
-                                  write_survival_csv)
+from spectrakit.durations import (_TABLE_ROWS, default_tau_grid, read_survival_csv,
+                                  write_survival_csv, write_table)
 
 
 def test_load_durations_basic():
@@ -215,6 +215,19 @@ def test_default_tau_grid():
     assert default_tau_grid(DurationSeries.from_values([1e7])).size == 10_000_000
     with pytest.raises(ValueError, match=r"tau_max = 1e\+07.*--grid"):
         default_tau_grid(DurationSeries.from_values([1e7 + 0.5]))
+
+
+@pytest.mark.parametrize("rows", [0, 1, _TABLE_ROWS - 1, _TABLE_ROWS, _TABLE_ROWS + 1,
+                                  2 * _TABLE_ROWS + 3])
+def test_write_table_pieces_equal_row_by_row(rows):
+    rng = np.random.default_rng(rows)
+    x, k = rng.exponential(3.0, rows), rng.integers(-10**6, 10**6, rows)
+    buf = io.StringIO()
+    write_table(buf, "x,k", "{:.12g},{:d}".format, x, k)
+    expected = "x,k\n" + "".join(f"{a:.12g},{b:d}\n" for a, b in zip(x.tolist(), k.tolist()))
+    assert buf.getvalue() == expected
+    with pytest.raises(ValueError, match="equal lengths"):
+        write_table(io.StringIO(), "x,k", "{},{}".format, [1.0], [1, 2])
 
 
 def test_survival_csv_roundtrip():

@@ -12,16 +12,16 @@ def test_repeated_sweeps_are_bit_identical():
     mus = list(np.geomspace(1e-4, 1.0, 12))
     dts = list(np.geomspace(20, 500, 6))
 
-    seq_sols, seq_best = sweep_mu(K, curve, mus)
-    seq_combs, seq_cb = sweep_delta_t(series, dts, taus=K.taus)
+    first_sols, first_best = sweep_mu(K, curve, mus)
+    first_combs, first_cb = sweep_delta_t(series, dts, taus=K.taus)
 
-    par_sols, par_best = sweep_mu(K, curve, mus)
-    par_combs, par_cb = sweep_delta_t(series, dts, taus=K.taus)
+    again_sols, again_best = sweep_mu(K, curve, mus)
+    again_combs, again_cb = sweep_delta_t(series, dts, taus=K.taus)
 
-    assert par_best == seq_best and par_cb == seq_cb
-    for a, b in zip(seq_sols, par_sols):
+    assert again_best == first_best and again_cb == first_cb
+    for a, b in zip(first_sols, again_sols):
         assert a.mu == b.mu
         assert np.array_equal(a.spectrum.masses, b.spectrum.masses)
-    for a, b in zip(seq_combs, par_combs):
+    for a, b in zip(first_combs, again_combs):
         assert a.comb.delta_t == b.comb.delta_t
         assert a.ks.statistic == b.ks.statistic
