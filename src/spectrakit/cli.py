@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import tempfile
 
@@ -17,15 +18,20 @@ from .kernel import assemble_kernel, check_kernel_size
 
 def _atomic_write(path: str, write) -> None:
     # Call write(fh) on a temp file next to path, then rename it to path with
-    # the mode open() gives a new file: 0o666 less the umask.
+    # the mode open(path, "w") leaves: an existing file's own mode, else
+    # 0o666 less the umask.
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             write(fh)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -91,15 +97,13 @@ def _warn_if_edge(name: str, grid, best: int) -> None:
 def _plot_sweep(prefix, grid, solutions, best, empirical, *,
                 name, short, xlabel, title, label) -> None:
     """Write <prefix>_ks_vs_<short>.svg (KS p over the grid) and <prefix>_fit.svg."""
-    svg = svgplot.line_plot_svg(
-        [(grid, np.array([s.ks.p_value for s in solutions]), "KS probability")],
-        title=f"KS probability vs {name}", xlabel=xlabel, ylabel="p", log_x=True)
-    _atomic_write(f"{prefix}_ks_vs_{short}.svg", lambda fh: fh.write(svg))
-    svg = svgplot.line_plot_svg(
+    _atomic_write(f"{prefix}_ks_vs_{short}.svg", lambda fh: svgplot.line_plot_svg(
+        [(grid, np.array([s.ks.p_value for s in solutions]), "KS probability")], fh,
+        title=f"KS probability vs {name}", xlabel=xlabel, ylabel="p", log_x=True))
+    _atomic_write(f"{prefix}_fit.svg", lambda fh: svgplot.line_plot_svg(
         [(empirical.taus, empirical.psi, "empirical"),
-         (empirical.taus, solutions[best].rebuilt.psi, label)],
-        title=title, xlabel="tau [s]", ylabel="Psi", log_y=True)
-    _atomic_write(f"{prefix}_fit.svg", lambda fh: fh.write(svg))
+         (empirical.taus, solutions[best].rebuilt.psi, label)], fh,
+        title=title, xlabel="tau [s]", ylabel="Psi", log_y=True))
 
 
 def cmd_gen(args) -> None:
@@ -136,12 +140,9 @@ def cmd_survival(args) -> None:
                  ("dropped", series.dropped), ("out", args.out)])
     if args.plot:
         reference = np.exp(-taus / series.mean)
-        svg = svgplot.line_plot_svg(
-            [(taus, curve.psi, "empirical"),
-             (taus, reference, "exponential 1/mean")],
-            title="Survival function", xlabel="tau [s]", ylabel="Psi",
-            log_y=True)
-        _atomic_write(args.plot, lambda fh: fh.write(svg))
+        _atomic_write(args.plot, lambda fh: svgplot.line_plot_svg(
+            [(taus, curve.psi, "empirical"), (taus, reference, "exponential 1/mean")],
+            fh, title="Survival function", xlabel="tau [s]", ylabel="Psi", log_y=True))
 
 
 def cmd_tikhonov(args) -> None:

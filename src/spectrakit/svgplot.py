@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import durations
+
 __all__ = ["line_plot_svg"]
 
 _WIDTH, _HEIGHT = 640, 480
@@ -16,37 +18,36 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _transform(values, log: bool):
+def _pieces(values, log: bool):
+    # values on a plot axis, durations._TABLE_ROWS at a time (log: <= 0 -> NaN)
     values = np.asarray(values, dtype=float)
-    if log:
-        values = np.where(values > 0, values, np.nan)
-        return np.log10(values)
-    return values
+    for lo in range(0, values.size, durations._TABLE_ROWS):
+        piece = values[lo:lo + durations._TABLE_ROWS]
+        yield np.log10(np.where(piece > 0, piece, np.nan)) if log else piece
 
 
-def line_plot_svg(curves, title: str = "", xlabel: str = "", ylabel: str = "",
-                  log_x: bool = False, log_y: bool = False) -> str:
-    """Render labelled (x, y) curves as one polyline each.
+def line_plot_svg(curves, stream, title: str = "", xlabel: str = "", ylabel: str = "",
+                  log_x: bool = False, log_y: bool = False) -> None:
+    """Write labelled (x, y) curves to ``stream`` as an SVG, one polyline each.
 
     ``curves`` is a list of (x, y, label) triples.  Log axes drop
-    non-positive points.  Returns the SVG document as a string.
+    non-positive points.  Points are worked durations._TABLE_ROWS at a time.
     """
     if not curves:
         raise ValueError("no curves to plot")
-    xs = [_transform(x, log_x) for x, _, _ in curves]
-    ys = [_transform(y, log_y) for _, y, _ in curves]
-    all_x = np.concatenate(xs)
-    all_y = np.concatenate(ys)
-    finite_x = all_x[np.isfinite(all_x)]
-    finite_y = all_y[np.isfinite(all_y)]
-    if finite_x.size == 0 or finite_y.size == 0:
+    if any(len(x) != len(y) for x, y, _ in curves):
+        raise ValueError("x and y of a curve must have equal lengths")
+    x0, x1, y0, y1 = np.inf, -np.inf, np.inf, -np.inf
+    for x, y, _ in curves:
+        for tx, ty in zip(_pieces(x, log_x), _pieces(y, log_y)):
+            x0 = tx.min(where=np.isfinite(tx), initial=x0)
+            x1 = tx.max(where=np.isfinite(tx), initial=x1)
+            y0 = ty.min(where=np.isfinite(ty), initial=y0)
+            y1 = ty.max(where=np.isfinite(ty), initial=y1)
+    if x0 > x1 or y0 > y1:
         raise ValueError("no finite points to plot")
-    x0, x1 = float(finite_x.min()), float(finite_x.max())
-    y0, y1 = float(finite_y.min()), float(finite_y.max())
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
+    x1 = x0 + 1.0 if x1 == x0 else x1
+    y1 = y0 + 1.0 if y1 == y0 else y1
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
@@ -91,20 +92,24 @@ def line_plot_svg(curves, title: str = "", xlabel: str = "", ylabel: str = "",
                      f'x2="{_MARGIN_L}" y2="{y:.1f}" stroke="black"/>')
         parts.append(f'<text x="{_MARGIN_L - 8}" y="{y + 4:.1f}" '
                      f'text-anchor="end" font-size="11">{fmt_tick(tick, log_y)}</text>')
-
-    for k, ((_, _, label), tx, ty) in enumerate(zip(curves, xs, ys)):
+    stream.write("\n".join(parts) + "\n")
+    for k, (x, y, label) in enumerate(curves):
         color = _COLORS[k % len(_COLORS)]
-        keep = np.isfinite(tx) & np.isfinite(ty)
-        pts = " ".join(map("{:.2f},{:.2f}".format,
-                           px(tx[keep]).tolist(), py(ty[keep]).tolist()))
-        parts.append(f'<polyline fill="none" stroke="{color}" '
-                     f'stroke-width="1.5" points="{pts}"/>')
+        stream.write(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="')
+        sep = ""
+        for tx, ty in zip(_pieces(x, log_x), _pieces(y, log_y)):
+            keep = np.isfinite(tx) & np.isfinite(ty)
+            pts = " ".join(map("{:.2f},{:.2f}".format,
+                               px(tx[keep]).tolist(), py(ty[keep]).tolist()))
+            if pts:
+                stream.write(sep + pts)
+                sep = " "
+        stream.write('"/>\n')
         if label:
             ly = _MARGIN_T + 16 + 16 * k
             lx = _MARGIN_L + plot_w - 150
-            parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" '
-                         f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')
-            parts.append(f'<text x="{lx + 30}" y="{ly}" font-size="12">'
-                         f'{_escape(label)}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts)
+            stream.write(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" '
+                         f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>\n'
+                         f'<text x="{lx + 30}" y="{ly}" font-size="12">'
+                         f'{_escape(label)}</text>\n')
+    stream.write("</svg>")

@@ -206,6 +206,23 @@ def test_output_modes_follow_the_umask(tmp_path):
         assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644, name
 
 
+def test_existing_outputs_keep_their_mode(tmp_path):
+    data = tmp_path / "d.txt"
+    data.write_text("1\n2\n3\n")
+    for name in ("s.csv", "s.svg"):
+        (tmp_path / name).write_text("old contents\n")
+        os.chmod(tmp_path / name, 0o600)
+    old = os.umask(0o022)
+    try:
+        assert run(["survival", "--input", str(data), "-o", str(tmp_path / "s.csv"),
+                    "--plot", str(tmp_path / "s.svg")]) == 0
+    finally:
+        os.umask(old)
+    for name in ("s.csv", "s.svg"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o600, name
+        assert (tmp_path / name).read_text() != "old contents\n"
+
+
 def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):
     # the writer streams its first piece of rows, then fails on the next
     data = tmp_path / "d.txt"
@@ -231,14 +248,15 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):
 
 
 def test_large_survival_table_streams(tmp_path):
-    # 10**6 rows; formatted as one table the write peaked at 154 MB
+    # 10**6 rows and 2 x 10**6 plotted points; formatted as one table the
+    # write peaked at 154 MB, and with the plot drawn as one string at 142 MB
     data = tmp_path / "d.txt"
     data.write_text("\n".join(str(v) for v in range(1, 1001)))
-    out = tmp_path / "s.csv"
+    out, svg = tmp_path / "s.csv", tmp_path / "s.svg"
     tracemalloc.start()
     try:
         assert run(["survival", "--input", str(data), "--grid", "1:1000000:1000000,lin",
-                    "-o", str(out)]) == 0
+                    "-o", str(out), "--plot", str(svg)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -248,6 +266,8 @@ def test_large_survival_table_streams(tmp_path):
     assert len(lines) == 1_000_001
     assert lines[:3] == ["tau,psi", "1,1.000000", "2,0.999000"]
     assert lines[-1] == "1000000,0.000000"
+    text = svg.read_text()
+    assert text.endswith("</svg>") and text.count("<polyline ") == 2
 
 
 def test_survival_timestamps_mode(tmp_path):

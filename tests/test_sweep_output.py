@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectrakit import SurvivalCurve, delta_comb, svgplot
+from spectrakit import SurvivalCurve, delta_comb, durations, svgplot
 from spectrakit.cli import main
 from spectrakit.delta_comb import DeltaComb, read_comb_csv, write_comb_csv
 from spectrakit.durations import (MAX_GRID_POINTS, read_survival_csv,
@@ -78,14 +78,19 @@ def test_auto_h_warns_when_its_delta_t_pick_is_an_edge(tmp_path, capsys):
         "warning: best delta_t = 118.83 is at the lower edge of its 30-point grid"]
 
 
+def _svg(curves, **kwargs):
+    buf = io.StringIO()
+    assert svgplot.line_plot_svg(curves, buf, **kwargs) is None
+    return buf.getvalue()
+
+
 def test_polyline_points_skip_non_finite_and_non_positive():
     # golden polylines: log axes drop x=0, y<=0, NaN and inf points; linear
     # axes drop NaN and inf
     x = np.array([0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0])
     y = np.array([1.0, 0.5, 0.0, -0.25, np.nan, 0.03, np.inf, 1e-4])
-    log = svgplot.line_plot_svg([(x, y, "a"), (x, np.exp(-x / 4), "b")],
-                                log_x=True, log_y=True)
-    lin = svgplot.line_plot_svg([(x, y, "a")])
+    log = _svg([(x, y, "a"), (x, np.exp(-x / 4), "b")], log_x=True, log_y=True)
+    lin = _svg([(x, y, "a")])
     assert re.findall(r'points="([^"]*)"', log) == [
         "70.00,69.35 445.66,188.48 620.00,430.00",
         "70.00,50.59 195.22,61.17 268.47,71.76 360.75,92.93 445.66,124.69 "
@@ -93,6 +98,44 @@ def test_polyline_points_skip_non_finite_and_non_positive():
     assert re.findall(r'points="([^"]*)"', lin) == [
         "70.00,40.00 96.19,196.00 122.38,352.00 148.57,430.00 279.52,342.64 "
         "620.00,351.97"]
+
+
+# in pieces of 4, piece 0 has no finite x, and on log axes piece 1 has no
+# finite (x, y) pair and piece 2 no finite y; NaN, inf, -inf and 0 all turn up
+PIECE_X = np.array([np.nan, np.inf, -np.inf, np.nan, 0.0, -2.0, 1.0, 2.0,
+                    3.0, 5.0, 8.0, 13.0, 21.0])
+PIECE_Y = np.array([1.0, 0.5, 0.25, 0.1, 0.5, 0.4, -1.0, 0.0,
+                    np.nan, -np.inf, np.inf, 0.0, 1e-3])
+
+
+def _svg_or_error(curves, **kwargs):
+    try:
+        return _svg(curves, **kwargs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("log_x, log_y", [(False, False), (True, True), (False, True)])
+def test_polyline_pieces_join_like_one_piece(monkeypatch, log_x, log_y):
+    # pieces of 4 points give, byte for byte, the document of one piece
+    cases = []
+    for n in range(14):
+        x, y = PIECE_X[:n], PIECE_Y[:n]
+        cases += [[(x, y, "a")], [(x, y, "a"), (x[::-1], np.exp(-x / 4), "b")],
+                  [(x, y, ""), (np.arange(1.0, 4.0), np.array([0.5, 0.2, 0.1]), "c")]]
+    whole = [_svg_or_error(c, log_x=log_x, log_y=log_y) for c in cases]
+    monkeypatch.setattr(durations, "_TABLE_ROWS", 4)
+    assert [_svg_or_error(c, log_x=log_x, log_y=log_y) for c in cases] == whole
+    assert whole[0] == whole[3] == "ValueError: no finite points to plot"
+    assert 'points=""' in whole[2]
+    assert sum(doc.startswith("<svg") for doc in whole) > len(cases) // 2
+
+
+@pytest.mark.parametrize("nx, ny", [(5, 4), (4, 5), (5, 7), (1, 3), (0, 1), (8, 9)])
+def test_polyline_unequal_lengths_raise(monkeypatch, nx, ny):
+    monkeypatch.setattr(durations, "_TABLE_ROWS", 4)
+    with pytest.raises(ValueError, match="equal lengths"):
+        _svg([(np.arange(1.0, nx + 1), np.arange(1.0, ny + 1), "a")])
 
 
 TEXTS = ["a & b", "<g>", "x > 0 & y < 1", "\"quoted\" 'single'", "&amp;", "&lt;&gt;",
@@ -109,7 +152,7 @@ def test_svg_escape_is_saxutils_escape(pieces):
 def test_svg_titles_and_labels_are_escaped():
     x = np.array([1.0, 2.0])
     texts = {"title": "a & b", "xlabel": "&amp;", "ylabel": "ψ(τ) — Δt ≥ 2 µs"}
-    svg = svgplot.line_plot_svg([(x, x, "x > 0 & y < 1")], **texts)
+    svg = _svg([(x, x, "x > 0 & y < 1")], **texts)
     for text in (*texts.values(), "x > 0 & y < 1"):
         assert f">{escape(text)}</text>" in svg
 
