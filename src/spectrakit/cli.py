@@ -19,9 +19,10 @@ from .kernel import assemble_kernel, check_kernel_size
 def _atomic_write(path: str, write) -> None:
     # Call write(fh) on a temp file next to path, then rename it to path with
     # the mode open(path, "w") leaves: an existing file's own mode, else
-    # 0o666 less the umask.
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # 0o666 less the umask.  A symlinked path is written through, like open
+    # does: its target is replaced, or created if it does not exist.
+    path = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             write(fh)

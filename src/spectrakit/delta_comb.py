@@ -10,8 +10,8 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .durations import (DurationSeries, SurvivalCurve, default_tau_grid,
-                        empirical_survival, read_table, write_table)
+from .durations import (DurationSeries, SurvivalCurve, empirical_survival,
+                        read_table, write_table)
 from .gof import KsReport, ks_pvalue, sweep
 
 __all__ = [
@@ -260,16 +260,14 @@ def default_delta_t_grid(series: DurationSeries) -> np.ndarray:
     return np.geomspace(lo, hi, DELTA_T_GRID_POINTS)
 
 
-def sweep_delta_t(series: DurationSeries, dts, taus=None):
+def sweep_delta_t(series: DurationSeries, dts, taus):
     """Fit a comb per delta_t and rank by KS p-value against the data.
 
-    The data are the empirical survival on ``taus`` (default:
-    default_tau_grid), whose n_source (= series.n) is the KS sample
-    size.  Returns gof.sweep's (results, best_index), one CombSolution
-    per delta_t; ties in p-value go to the larger delta_t.
+    The data are the empirical survival on ``taus``, whose n_source
+    (= series.n) is the KS sample size.  Returns gof.sweep's (results,
+    best_index), one CombSolution per delta_t; ties in p-value go to the
+    larger delta_t.
     """
-    if taus is None:
-        taus = default_tau_grid(series)
     empirical = empirical_survival(series, taus)
     n_eff = empirical.n_source
 

@@ -22,9 +22,16 @@ __all__ = [
 ]
 
 
+# the smallest normal float; at or above it every comb rate N/T is finite
+_TINY = np.finfo(float).tiny
+
+
 @dataclass(frozen=True)
 class DurationSeries:
     """An ordered series of strictly positive waiting times (seconds).
+
+    Every value is at least the smallest normal float (about 2.2e-308),
+    and their total is finite.
 
     ``dropped`` counts the non-positive (or over-cap) entries removed
     during loading; it is bookkeeping, not part of the data.
@@ -43,10 +50,17 @@ class DurationSeries:
             raise ValueError("no usable durations")
         if not np.all(np.isfinite(values) & (values > 0)):
             raise ValueError("durations must be finite and strictly positive")
+        if values.min() < _TINY:
+            raise ValueError(f"durations must be at least {_TINY:.3g} s, "
+                             f"got {values.min():.3g}")
+        with np.errstate(over="ignore"):
+            total = values.sum()
+        if not np.isfinite(total):
+            raise ValueError("the total of the durations overflows")
         return cls(
             values=values,
             n=int(values.size),
-            mean=float(values.mean()),
+            mean=float(total / values.size),
             max=float(values.max()),
             dropped=int(dropped),
         )
@@ -142,8 +156,10 @@ def load_durations(source, mode: str = "durations",
 
     Parameters
     ----------
-    source : str or iterable of lines
-        Text with one number per line; '#' lines are comments.
+    source : str or iterable of str lines
+        Text with one number per line; '#' lines are comments.  A bytes
+        source is refused with TypeError.  Lines must be str: bytes or
+        float lines are converted in some chunks and refused in others.
     mode : {'durations', 'timestamps'}
         'durations' takes the numbers as waiting times; 'timestamps'
         takes successive differences of non-decreasing event times.
@@ -152,22 +168,23 @@ def load_durations(source, mode: str = "durations",
         overnight session gaps).
 
     Non-positive entries (or differences) are dropped and counted in
-    ``dropped``.  Raises ValueError on a non-finite number or if nothing
-    usable remains.
+    ``dropped``.  Raises ValueError on a non-finite number, and on what
+    DurationSeries.from_values refuses: no usable durations, one below
+    the smallest normal float, or an overflowing total.
     """
     if mode not in ("durations", "timestamps"):
         raise ValueError(f"unknown mode {mode!r}")
+    if isinstance(source, (bytes, bytearray)):
+        raise TypeError("source must be str or an iterable of str lines, not bytes")
     numbers = _parse_numbers(source.splitlines() if isinstance(source, str) else source)
     if mode == "timestamps":
-        numbers = np.diff(numbers) if numbers.size > 1 else np.empty(0)
+        with np.errstate(over="ignore"):  # from_values refuses an inf difference
+            numbers = np.diff(numbers) if numbers.size > 1 else np.empty(0)
     keep = numbers > 0
     if max_duration is not None:
         keep &= numbers <= max_duration
     values = numbers[keep]
-    dropped = int(numbers.size - values.size)
-    if values.size == 0:
-        raise ValueError("no usable durations")
-    return DurationSeries.from_values(values, dropped=dropped)
+    return DurationSeries.from_values(values, dropped=int(numbers.size - values.size))
 
 
 # grids and samples past this many points (80 MB of floats alone), and
@@ -196,8 +213,6 @@ def empirical_survival(series: DurationSeries, taus) -> SurvivalCurve:
     the data support equals n for a unique maximum.
     """
     taus = np.asarray(taus, dtype=float)
-    if taus.size == 0:
-        raise ValueError("tau grid is empty")
     if np.any(taus < 0):
         raise ValueError("tau grid values must be >= 0")
     sorted_vals = np.sort(series.values)

@@ -81,7 +81,9 @@ def gen_mixture(spec: MixtureSpec, n: int, seed: int) -> DurationSeries:
     comp = np.searchsorted(np.cumsum(spec.weights), rng.random(n), side="right")
     comp = np.minimum(comp, spec.rates.size - 1)
     u = _uniform_open(rng, n)
-    return DurationSeries.from_values(-np.log(u) / spec.rates[comp])
+    with np.errstate(over="ignore"):  # from_values refuses an overflowing draw
+        values = -np.log(u) / spec.rates[comp]
+    return DurationSeries.from_values(values)
 
 
 def gen_mittag_leffler(p: MlParams, n: int, seed: int) -> DurationSeries:
@@ -97,12 +99,13 @@ def gen_mittag_leffler(p: MlParams, n: int, seed: int) -> DurationSeries:
     rng = np.random.default_rng(seed)
     u = _uniform_open(rng, n)
     v = _uniform_open(rng, n)
-    if p.beta == 1.0:
-        factor = 1.0
-    else:
-        bpi = p.beta * math.pi
-        factor = (math.sin(bpi) / np.tan(bpi * v) - math.cos(bpi)) ** (1.0 / p.beta)
-    values = -p.gamma * np.log(u) * factor
+    with np.errstate(over="ignore"):  # from_values refuses an overflowing draw
+        if p.beta == 1.0:
+            factor = 1.0
+        else:
+            bpi = p.beta * math.pi
+            factor = (math.sin(bpi) / np.tan(bpi * v) - math.cos(bpi)) ** (1.0 / p.beta)
+        values = -p.gamma * np.log(u) * factor
     values[values <= 0] = _TINY  # u or the bracket rounding to the edge
     return DurationSeries.from_values(values)
 

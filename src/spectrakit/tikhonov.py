@@ -65,25 +65,33 @@ class TikhonovSolution:
     ks: KsReport
 
 
-def _as_matrix(K) -> np.ndarray:
-    return K.entries if isinstance(K, KernelMatrix) else np.asarray(K, dtype=float)
-
-
-def _as_psi(psi) -> np.ndarray:
-    return psi.psi if isinstance(psi, SurvivalCurve) else np.asarray(psi, dtype=float)
+def _records(K, psi) -> tuple[KernelMatrix, SurvivalCurve]:
+    """K as a KernelMatrix and psi as a SurvivalCurve on its tau grid: a plain
+    K gets lambda = 1..n and psi's taus (1..n if psi is plain too), and a
+    plain psi gets K's taus and n_source 0."""
+    A = K.entries if isinstance(K, KernelMatrix) else np.asarray(K, dtype=float)
+    b = psi.psi if isinstance(psi, SurvivalCurve) else np.asarray(psi, dtype=float)
+    if A.ndim != 2 or A.shape[0] != b.size:
+        raise ValueError(f"dimension mismatch: K is {A.shape}, psi has {b.size}")
+    if not isinstance(K, KernelMatrix):
+        taus = psi.taus if isinstance(psi, SurvivalCurve) else np.arange(1.0, b.size + 1)
+        K = KernelMatrix(entries=A, lambdas=np.arange(1.0, A.shape[1] + 1), taus=taus)
+    if not isinstance(psi, SurvivalCurve):
+        psi = SurvivalCurve(taus=K.taus, psi=b)
+    elif not np.array_equal(K.taus, psi.taus):
+        raise ValueError("psi is not sampled on the kernel's tau grid")
+    return K, psi
 
 
 def eval_objective(K, g, psi, mu: float) -> float:
     """Regularized least-squares functional ||Kg - Psi||^2 + mu*||g||^2."""
-    A = _as_matrix(K)
+    K, psi = _records(K, psi)
     g = np.asarray(g, dtype=float)
-    b = _as_psi(psi)
-    if A.shape != (b.size, g.size):
-        raise ValueError(
-            f"dimension mismatch: K is {A.shape}, psi has {b.size}, g has {g.size}")
+    if K.entries.shape[1] != g.size:
+        raise ValueError(f"dimension mismatch: K is {K.entries.shape}, g has {g.size}")
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
-    r = A @ g - b
+    r = K.entries @ g - psi.psi
     return float(r @ r + mu * (g @ g))
 
 
@@ -112,31 +120,19 @@ def sweep_mu(K, psi, mus):
     best_index); ties in p-value go to the larger mu (stronger
     regularization).
     """
-    A = _as_matrix(K)
-    b = _as_psi(psi)
-    if A.shape[0] != b.size:
-        raise ValueError(
-            f"dimension mismatch: K has {A.shape[0]} rows, psi has {b.size}")
-    is_kernel = isinstance(K, KernelMatrix)
-    if not isinstance(psi, SurvivalCurve):
-        psi = SurvivalCurve(taus=K.taus if is_kernel else np.arange(1.0, b.size + 1),
-                            psi=b)
-    elif is_kernel and not np.array_equal(K.taus, psi.taus):
-        raise ValueError("psi is not sampled on the kernel's tau grid")
-    lambdas = K.lambdas if is_kernel else np.arange(1.0, A.shape[1] + 1)
-    n_eff = max(psi.n_source, 1)
+    K, psi = _records(K, psi)
     mus = check_grid("mu", mus)
 
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    c = U.T @ b
+    U, s, Vt = np.linalg.svd(K.entries, full_matrices=False)
+    c = U.T @ psi.psi
 
     def solve(mu) -> TikhonovSolution:
         g = Vt.T @ (s / (s * s + mu) * c)
-        rebuilt = SurvivalCurve(taus=psi.taus, psi=A @ g, n_source=0)
+        rebuilt = SurvivalCurve(taus=psi.taus, psi=K.entries @ g, n_source=0)
         return TikhonovSolution(mu=float(mu),
-                                spectrum=SpectrumGrid.from_arrays(lambdas, g),
+                                spectrum=SpectrumGrid.from_arrays(K.lambdas, g),
                                 rebuilt=rebuilt,
-                                ks=ks_compare(rebuilt, psi, n_eff))
+                                ks=ks_compare(rebuilt, psi, max(psi.n_source, 1)))
 
     return sweep("mu", mus, solve)
 

@@ -247,6 +247,28 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.txt", "s.csv"]
 
 
+def test_symlinked_outputs_are_written_through(tmp_path):
+    # like open(path, "w"): a link's target is replaced, a dangling link's created
+    data = tmp_path / "d.txt"
+    data.write_text("1\n2\n3\n")
+    (tmp_path / "real.csv").write_text("old contents\n")
+    (tmp_path / "s.csv").symlink_to("real.csv")
+    (tmp_path / "s.svg").symlink_to(tmp_path / "new.svg")
+    old = os.umask(0o022)
+    try:
+        assert run(["survival", "--input", str(data), "-o", str(tmp_path / "s.csv"),
+                    "--plot", str(tmp_path / "s.svg")]) == 0
+    finally:
+        os.umask(old)
+    assert os.readlink(tmp_path / "s.csv") == "real.csv"
+    assert (tmp_path / "real.csv").read_text().startswith("tau,psi\n")
+    assert os.readlink(tmp_path / "s.svg") == str(tmp_path / "new.svg")
+    assert (tmp_path / "new.svg").read_text().endswith("</svg>")
+    assert stat.S_IMODE(os.stat(tmp_path / "new.svg").st_mode) == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.txt", "new.svg", "real.csv",
+                                                          "s.csv", "s.svg"]
+
+
 def test_large_survival_table_streams(tmp_path):
     # 10**6 rows and 2 x 10**6 plotted points; formatted as one table the
     # write peaked at 154 MB, and with the plot drawn as one string at 142 MB
@@ -434,3 +456,28 @@ def test_oversize_sizes_are_refused_up_front(tmp_path, capsys, argv, message):
     assert peak < 1_000_000
     assert capsys.readouterr().err.splitlines() == [message]
     assert list(tmp_path.iterdir()) == [data]
+
+
+@pytest.mark.parametrize("argv, lines, message", [
+    (["survival"], ["1e308"] * 3, "error: the total of the durations overflows"),
+    (["comb"], ["1e308"] * 3, "error: the total of the durations overflows"),
+    (["tikhonov", "--auto-h"], ["1e308"] * 3, "error: the total of the durations overflows"),
+    (["comb"], ["1e-320", "2e-320", "5e-324"],
+     "error: durations must be at least 2.23e-308 s, got 4.94e-324"),
+    (["survival", "--mode", "timestamps"], ["-1e308", "1e308"],
+     "error: durations must be finite and strictly positive"),
+    (["gen", "--exp", "1e-320", "--n", "10"], None,
+     "error: durations must be finite and strictly positive"),
+    (["gen", "--ml", "--gamma", "1e308", "--n", "10"], None,
+     "error: durations must be finite and strictly positive"),
+], ids=["survival-sum", "comb-sum", "tikhonov-sum", "comb-subnormal", "timestamps-diff",
+        "gen-exp", "gen-ml"])
+def test_extreme_durations_end_in_one_error_line(tmp_path, capsys, argv, lines, message):
+    # pytest turns any numpy warning on the way into a failure
+    if lines is not None:
+        data = tmp_path / "d.txt"
+        data.write_text("\n".join(lines) + "\n")
+        argv = argv + ["--input", str(data)]
+    assert run(argv + ["-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert [p.name for p in tmp_path.iterdir()] == (["d.txt"] if lines else [])

@@ -187,6 +187,30 @@ def test_from_values_rejects_non_finite_or_non_positive():
             DurationSeries.from_values(values)
 
 
+def test_from_values_rejects_subnormal_or_overflowing_series():
+    tiny = np.finfo(float).tiny
+    for values in ([1e-320, 2e-320, 5e-324], [1.0, tiny / 2]):
+        with pytest.raises(ValueError, match="durations must be at least 2.23e-308 s"):
+            DurationSeries.from_values(values)
+    with pytest.raises(ValueError, match="total of the durations overflows"):
+        DurationSeries.from_values([1e308, 1e308, 1e308])
+    assert DurationSeries.from_values([tiny, 1.0]).n == 2
+    assert DurationSeries.from_values([1e308, 1e307]).mean == 5.5e307
+
+
+def test_from_values_mean_equals_numpy_mean():
+    rng = np.random.default_rng(11)
+    for values in (rng.exponential(8.85, 55_559), rng.pareto(0.9, 1001) + 1e-3,
+                   np.array([0.1, 0.2, 0.3])):
+        assert DurationSeries.from_values(values).mean == values.mean()
+
+
+def test_load_durations_refuses_a_bytes_source():
+    for source in (b"1.5\n2\n", bytearray(b"1.5\n2\n")):
+        with pytest.raises(TypeError, match="not bytes"):
+            load_durations(source)
+
+
 def test_permutation_invariance():
     rng = np.random.default_rng(3)
     vals = rng.exponential(1.0, 100)

@@ -4,8 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from spectrakit import (SurvivalCurve, assemble_kernel, empirical_survival,
-                        eval_objective, solve_tikhonov, sweep_mu)
+from spectrakit import (DurationSeries, SurvivalCurve, assemble_kernel,
+                        empirical_survival, eval_objective, solve_tikhonov, sweep_mu)
 from spectrakit.cli import main
 from spectrakit.tikhonov import (default_mu_grid, read_spectrum_csv,
                                  write_mu_sweep_csv, write_spectrum_csv)
@@ -241,3 +241,59 @@ def test_mu_sweep_csv_columns():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "mu,ks_statistic,ks_pvalue,neg_mass,total_mass"
     assert len(lines) == 3
+
+
+def _kernel_and_curve():
+    K = assemble_kernel(0.05, 6)
+    series = DurationSeries.from_values(np.random.default_rng(3).exponential(4.0, 200))
+    return K, empirical_survival(series, K.taus)
+
+
+@pytest.mark.parametrize("plain_k", [False, True])
+@pytest.mark.parametrize("plain_psi", [False, True])
+def test_sweep_mu_takes_records_or_plain_arrays(plain_k, plain_psi):
+    # a plain K is taken on lambda = 1..n; a plain psi has KS sample size 1
+    K, curve = _kernel_and_curve()
+    mus = [1e-3, 1e-1]
+    reference, _ = sweep_mu(K, curve, mus)
+    solutions, _ = sweep_mu(K.entries if plain_k else K,
+                            curve.psi if plain_psi else curve, mus)
+    lambdas = np.arange(1.0, 7.0) if plain_k else K.lambdas
+    for sol, ref in zip(solutions, reference, strict=True):
+        assert np.array_equal(sol.spectrum.masses, ref.spectrum.masses)
+        assert np.array_equal(sol.spectrum.lambdas, lambdas)
+        assert np.array_equal(sol.rebuilt.taus, K.taus)
+        assert np.array_equal(sol.rebuilt.psi, ref.rebuilt.psi)
+        assert sol.ks.n_eff == (1 if plain_psi else 200)
+
+
+def test_sweep_mu_plain_inputs_use_unit_grids():
+    K, curve = _kernel_and_curve()
+    (plain,), _ = sweep_mu(K.entries, curve.psi, [0.01])
+    assert np.array_equal(plain.rebuilt.taus, np.arange(1.0, 7.0))
+    assert np.array_equal(plain.spectrum.lambdas, np.arange(1.0, 7.0))
+    assert plain.ks.n_eff == 1
+    # a plain K keeps a curve's own tau grid and sample size
+    shifted = SurvivalCurve(taus=K.taus + 2.0, psi=curve.psi, n_source=30)
+    (kept,), _ = sweep_mu(K.entries, shifted, [0.01])
+    assert np.array_equal(kept.rebuilt.taus, shifted.taus)
+    assert kept.ks.n_eff == 30
+
+
+def test_wrong_size_psi_raises_dimension():
+    K, curve = _kernel_and_curve()
+    short = SurvivalCurve(taus=K.taus[:-1], psi=curve.psi[:-1], n_source=200)
+    g = np.zeros(6)
+    for kernel in (K, K.entries):
+        for psi in (short, short.psi):
+            with pytest.raises(ValueError, match="dimension"):
+                sweep_mu(kernel, psi, [0.1])
+            with pytest.raises(ValueError, match="dimension"):
+                eval_objective(kernel, g, psi, 0.1)
+
+
+def test_kernel_with_a_curve_on_another_grid_raises():
+    K, curve = _kernel_and_curve()
+    other = SurvivalCurve(taus=K.taus * 2.0, psi=curve.psi, n_source=200)
+    with pytest.raises(ValueError, match="psi is not sampled on the kernel's tau grid"):
+        sweep_mu(K, other, [0.1])
