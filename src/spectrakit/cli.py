@@ -20,20 +20,27 @@ def _atomic_write(path: str, write) -> None:
     # Call write(fh) on a temp file next to path, then rename it to path with
     # the mode open(path, "w") leaves: an existing file's own mode, else
     # 0o666 less the umask.  A symlinked path is written through, like open
-    # does: its target is replaced, or created if it does not exist.
-    path = os.path.realpath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    # does: its target is replaced, or created if it does not exist.  An
+    # OSError of the temp file's creation or rename names path, not the temp.
+    target = os.path.realpath(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             write(fh)
         try:
-            mode = stat.S_IMODE(os.stat(path).st_mode)
+            mode = stat.S_IMODE(os.stat(target).st_mode)
         except FileNotFoundError:
             umask = os.umask(0)
             os.umask(umask)
             mode = 0o666 & ~umask
         os.chmod(tmp, mode)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

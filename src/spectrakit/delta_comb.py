@@ -10,8 +10,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .durations import (DurationSeries, SurvivalCurve, empirical_survival,
-                        read_table, write_table)
+from .durations import DurationSeries, SurvivalCurve, empirical_survival, write_table
 from .gof import KsReport, ks_pvalue, sweep
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "estimate_h",
     "default_delta_t_grid",
     "write_comb_csv",
-    "read_comb_csv",
     "write_delta_t_sweep_csv",
 ]
 
@@ -292,26 +290,11 @@ def estimate_h(comb: DeltaComb, n: int) -> float:
     return 1.3 * float(comb.rates.max()) / n
 
 
-_COMB_HEADER = "lambda,weight,window_count,window_sum"
-
-
 def write_comb_csv(comb: DeltaComb, stream) -> None:
     stream.write(f"# delta_t={comb.delta_t:.12g}\n")
-    write_table(stream, _COMB_HEADER, "{:.12g},{:.12g},{:d},{:.12g}".format,
+    write_table(stream, "lambda,weight,window_count,window_sum",
+                "{:.12g},{:.12g},{:d},{:.12g}".format,
                 comb.rates, comb.weights, comb.window_counts, comb.window_sums)
-
-
-def read_comb_csv(stream) -> DeltaComb:
-    lines = list(stream)
-    delta_t = next((float(line.split("=", 1)[1]) for line in lines
-                    if line.strip().startswith("# delta_t=")), math.nan)
-    if not (math.isfinite(delta_t) and delta_t > 0):
-        raise ValueError(f"comb CSV needs a '# delta_t=' line > 0, got {delta_t:g}")
-    rates, weights, counts, sums = read_table(lines, _COMB_HEADER).T
-    if np.any(counts != np.floor(counts)):
-        raise ValueError("window_count must hold whole numbers")
-    return DeltaComb(weights=weights, rates=rates, m=rates.size, delta_t=delta_t,
-                     window_counts=counts.astype(int), window_sums=sums)
 
 
 def write_delta_t_sweep_csv(results, stream) -> None:

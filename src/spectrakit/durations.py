@@ -16,9 +16,7 @@ __all__ = [
     "empirical_survival",
     "default_tau_grid",
     "write_survival_csv",
-    "read_survival_csv",
     "write_table",
-    "read_table",
 ]
 
 
@@ -241,36 +239,6 @@ def write_table(stream, header: str, line, *columns) -> None:
         stream.write("\n".join(rows) + "\n")
 
 
-def read_table(lines, header: str) -> np.ndarray:
-    """Read the rows of a CSV table as a 2-d float array.
-
-    Skips blank lines, '#' comments and header lines (those starting with
-    the header's first column name).  Raises ValueError("line N: ...") on
-    a row that is not one finite number per column of ``header``.
-    """
-    names = header.split(",")
-    rows = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith(("#", names[0])):
-            continue
-        try:
-            row = [float(cell) for cell in line.split(",")]
-        except ValueError:
-            row = []
-        if len(row) != len(names) or not all(map(math.isfinite, row)):
-            raise ValueError(f"line {lineno}: expected {len(names)} finite numbers "
-                             f"({header}), got {line!r}")
-        rows.append(row)
-    if not rows:
-        raise ValueError(f"empty CSV table, expected {header!r} rows")
-    return np.array(rows)
-
-
 def write_survival_csv(curve: SurvivalCurve, stream) -> None:
     write_table(stream, "tau,psi", "{:.12g},{:.6f}".format, curve.taus, curve.psi)
 
-
-def read_survival_csv(stream, n_source: int = 0) -> SurvivalCurve:
-    taus, psi = read_table(stream, "tau,psi").T
-    return SurvivalCurve(taus=taus, psi=psi, n_source=n_source)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delta_comb import _psi_chunks
-from .durations import DurationSeries, SurvivalCurve
+from .durations import _TINY, DurationSeries, SurvivalCurve
 
 __all__ = [
     "MixtureSpec",
@@ -22,8 +22,6 @@ __all__ = [
 # and uses at most _MAX_NODES nodes: 64 MB in a 64-row exp block
 _CUTOFF = 40.0
 _MAX_NODES = 1 << 17
-
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ def gen_mittag_leffler(p: MlParams, n: int, seed: int) -> DurationSeries:
     Transformation of a pair of uniforms U, V on (0, 1):
         X = -gamma * ln(U) * (sin(b*pi)/tan(b*pi*V) - cos(b*pi))**(1/b)
     with b = beta; the beta = 1 branch is the exact exponential case
-    X = -gamma * ln(U).
+    X = -gamma * ln(U).  A beta whose factor overflows (0.01, say) is refused.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -105,6 +103,9 @@ def gen_mittag_leffler(p: MlParams, n: int, seed: int) -> DurationSeries:
         else:
             bpi = p.beta * math.pi
             factor = (math.sin(bpi) / np.tan(bpi * v) - math.cos(bpi)) ** (1.0 / p.beta)
+            if not np.isfinite(factor).all():
+                raise ValueError(f"beta = {p.beta:g} is too small: the draw's factor "
+                                 "(sin b pi / tan b pi V - cos b pi)^(1/b) overflows")
         values = -p.gamma * np.log(u) * factor
     values[values <= 0] = _TINY  # u or the bracket rounding to the edge
     return DurationSeries.from_values(values)

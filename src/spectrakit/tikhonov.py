@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .durations import SurvivalCurve, read_table, write_table
+from .durations import SurvivalCurve, write_table
 from .gof import KsReport, check_grid, ks_compare, sweep
 from .kernel import KernelMatrix
 
@@ -18,7 +18,6 @@ __all__ = [
     "sweep_mu",
     "default_mu_grid",
     "write_spectrum_csv",
-    "read_spectrum_csv",
     "write_mu_sweep_csv",
 ]
 
@@ -140,11 +139,6 @@ def sweep_mu(K, psi, mus):
 def write_spectrum_csv(spectrum: SpectrumGrid, stream) -> None:
     write_table(stream, "lambda,g", "{:.12g},{:.12g}".format,
                 spectrum.lambdas, spectrum.masses)
-
-
-def read_spectrum_csv(stream) -> SpectrumGrid:
-    lambdas, masses = read_table(stream, "lambda,g").T
-    return SpectrumGrid.from_arrays(lambdas, masses)
 
 
 def write_mu_sweep_csv(solutions, stream) -> None:

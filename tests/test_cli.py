@@ -247,6 +247,24 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.txt", "s.csv"]
 
 
+@pytest.mark.parametrize("command, out, message", [
+    ("comb", "missing/c", "[Errno 2] No such file or directory: '{}_sweep.csv'"),
+    ("survival", "dir", "[Errno 21] Is a directory: '{}'"),
+], ids=["missing-directory", "directory"])
+def test_output_errors_name_the_output(tmp_path, capsys, command, out, message):
+    # not the temp file the output is written through
+    data = tmp_path / "d.txt"
+    data.write_text("1\n2\n3\n")
+    (tmp_path / "dir").mkdir()
+    out = str(tmp_path / out)
+    assert run([command, "--input", str(data), "-o", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: " + message.format(out)]
+    assert ".tmp" not in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.txt", "dir"]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
 def test_symlinked_outputs_are_written_through(tmp_path):
     # like open(path, "w"): a link's target is replaced, a dangling link's created
     data = tmp_path / "d.txt"
@@ -470,8 +488,11 @@ def test_oversize_sizes_are_refused_up_front(tmp_path, capsys, argv, message):
      "error: durations must be finite and strictly positive"),
     (["gen", "--ml", "--gamma", "1e308", "--n", "10"], None,
      "error: durations must be finite and strictly positive"),
+    (["gen", "--ml", "--beta", "0.01", "--n", "5000"], None,
+     "error: beta = 0.01 is too small: the draw's factor "
+     "(sin b pi / tan b pi V - cos b pi)^(1/b) overflows"),
 ], ids=["survival-sum", "comb-sum", "tikhonov-sum", "comb-subnormal", "timestamps-diff",
-        "gen-exp", "gen-ml"])
+        "gen-exp", "gen-ml", "gen-ml-beta"])
 def test_extreme_durations_end_in_one_error_line(tmp_path, capsys, argv, lines, message):
     # pytest turns any numpy warning on the way into a failure
     if lines is not None:

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from spectrakit import (DurationSeries, comb_survival, empirical_survival,
                         estimate_h, fit_comb, sweep_delta_t)
 from spectrakit.delta_comb import (_CHUNK, _ks_distance, default_delta_t_grid,
-                                   read_comb_csv, write_comb_csv,
-                                   write_delta_t_sweep_csv)
+                                   write_comb_csv, write_delta_t_sweep_csv)
 
 
 def test_constant_durations_hand_trace():
@@ -511,19 +510,13 @@ def test_comb_csv_roundtrip():
     comb = fit_comb(series, 40.0)
     buf = io.StringIO()
     write_comb_csv(comb, buf)
-    back = read_comb_csv(io.StringIO(buf.getvalue()))
-    assert back.delta_t == pytest.approx(comb.delta_t, abs=1e-9)
-    assert np.allclose(back.rates, comb.rates, atol=1e-9)
-    assert np.allclose(back.weights, comb.weights, atol=1e-9)
-    assert np.array_equal(back.window_counts, comb.window_counts)
-    header = "lambda,weight,window_count,window_sum\n"
-    for bad, message in ((header + "0.5,1,2,4\n", "delta_t"),
-                         ("# delta_t=nan\n" + header + "0.5,1,2,4\n", "delta_t"),
-                         ("# delta_t=5\n" + header + "0.5,1,2.5,4\n", "window_count"),
-                         ("# delta_t=5\n" + header + "0.5,1,2,inf\n", "line 3:"),
-                         ("# delta_t=5\n" + header + "0.5,1,2\n", "line 3:")):
-        with pytest.raises(ValueError, match=message):
-            read_comb_csv(io.StringIO(bad))
+    first, header, _ = buf.getvalue().split("\n", 2)
+    assert first == "# delta_t=40" and header == "lambda,weight,window_count,window_sum"
+    rates, weights, counts, _ = np.loadtxt(io.StringIO(buf.getvalue()), delimiter=",",
+                                           skiprows=2).T
+    assert np.allclose(rates, comb.rates, atol=1e-9)
+    assert np.allclose(weights, comb.weights, atol=1e-9)
+    assert np.array_equal(counts, comb.window_counts)
 
 
 def test_sweep_csv_columns():

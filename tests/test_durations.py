@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from spectrakit import (DurationSeries, SurvivalCurve, durations, empirical_survival,
                         load_durations)
-from spectrakit.durations import (_TABLE_ROWS, default_tau_grid, read_survival_csv,
-                                  write_survival_csv, write_table)
+from spectrakit.durations import (_TABLE_ROWS, default_tau_grid, write_survival_csv,
+                                  write_table)
 
 
 def test_load_durations_basic():
@@ -260,15 +260,9 @@ def test_survival_csv_roundtrip():
     buf = io.StringIO()
     write_survival_csv(c, buf)
     assert buf.getvalue().startswith("tau,psi\n")
-    back = read_survival_csv(io.StringIO(buf.getvalue()), n_source=4)
-    assert np.allclose(back.psi, c.psi, atol=1e-6)
-    assert np.array_equal(back.taus, c.taus)
-    for bad, lineno in (("tau,psi\n1,nan\n", 2), ("tau,psi\n\n2,inf\n", 3),
-                        ("# c\n1,0.5,2\n", 2), ("1,0.5\n2\n", 2), ("1,x\n", 1)):
-        with pytest.raises(ValueError, match=f"line {lineno}:"):
-            read_survival_csv(io.StringIO(bad))
-    with pytest.raises(ValueError, match="empty"):
-        read_survival_csv(io.StringIO("tau,psi\n"))
+    taus, psi = np.loadtxt(io.StringIO(buf.getvalue()), delimiter=",", skiprows=1).T
+    assert np.allclose(psi, c.psi, atol=1e-6)
+    assert np.array_equal(taus, c.taus)
     for taus, psi in (([np.nan, 1.0], [1.0, 0.5]), ([1.0, np.inf], [1.0, 0.5]),
                       ([1.0, 2.0], [np.nan, 0.5]), ([1.0, 2.0], [1.0, -np.inf])):
         with pytest.raises(ValueError, match="finite"):

@@ -7,8 +7,7 @@ import pytest
 from spectrakit import (DurationSeries, SurvivalCurve, assemble_kernel,
                         empirical_survival, eval_objective, solve_tikhonov, sweep_mu)
 from spectrakit.cli import main
-from spectrakit.tikhonov import (default_mu_grid, read_spectrum_csv,
-                                 write_mu_sweep_csv, write_spectrum_csv)
+from spectrakit.tikhonov import default_mu_grid, write_mu_sweep_csv, write_spectrum_csv
 
 
 def oracle_solve(A, b, mu, dps=60):
@@ -222,14 +221,9 @@ def test_spectrum_csv_roundtrip():
     sol = solve_tikhonov(K, psi, 0.05)
     buf = io.StringIO()
     write_spectrum_csv(sol.spectrum, buf)
-    back = read_spectrum_csv(io.StringIO(buf.getvalue()))
-    assert np.allclose(back.lambdas, sol.spectrum.lambdas, atol=1e-9)
-    assert np.allclose(back.masses, sol.spectrum.masses, atol=1e-9)
-    for bad, lineno in (("lambda,g\n0.1,inf\n", 2),
-                        ("lambda,g\n0.1,0.5\n0.2,nan\n", 3),
-                        ("lambda,g\n0.1\n", 2)):
-        with pytest.raises(ValueError, match=f"line {lineno}:"):
-            read_spectrum_csv(io.StringIO(bad))
+    lambdas, masses = np.loadtxt(io.StringIO(buf.getvalue()), delimiter=",", skiprows=1).T
+    assert np.allclose(lambdas, sol.spectrum.lambdas, atol=1e-9)
+    assert np.allclose(masses, sol.spectrum.masses, atol=1e-9)
 
 
 def test_mu_sweep_csv_columns():
