@@ -34,9 +34,9 @@ series = sk.DurationSeries.from_values(np.concatenate(segments))
 print(f"n = {series.n} events over ~{60 * SEGMENT_SECONDS:.0f} s, "
       f"mean duration {series.mean:.2f} s")
 
-taus = np.arange(1.0, 120.0)
+empirical = sk.empirical_survival(series, np.arange(1.0, 120.0))
 dts = np.geomspace(100, 20000, 20)
-results, best = sk.sweep_delta_t(series, dts, taus=taus)
+results, best = sk.sweep_delta_t(series, dts, empirical)
 print("\n delta_t      M    KS stat      KS p")
 for r in results[::4]:
     print(f"{r.comb.delta_t:9.1f} {r.comb.m:6d}    "

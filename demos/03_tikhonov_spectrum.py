@@ -30,8 +30,7 @@ print(f"total spectrum mass = {sol.spectrum.total_mass:.4f} "
 print(f"spectrum mass centroid = {sol.spectrum.mass_centroid:.4f} 1/s "
       f"(mean rate scale 1/gamma = {1/params.gamma:.4f})")
 
-results, cb_best = sk.sweep_delta_t(series, sk.default_delta_t_grid(series),
-                                    taus=K.taus)
+results, cb_best = sk.sweep_delta_t(series, sk.default_delta_t_grid(series), curve)
 comb_curve = results[cb_best].rebuilt
 print(f"\ncross-check, sup-distances on the tau grid:")
 print(f"  Tikhonov rebuilt vs empirical: "

@@ -158,16 +158,15 @@ def cmd_tikhonov(args) -> None:
     mus = gof.check_grid("mu", parse_value_list(args.mu) if args.mu
                          else tikhonov.default_mu_grid())
     series = _load_series(args)
+    curve = empirical_survival(series, np.arange(1.0, args.n + 1))
     if args.auto_h:
         dts = delta_comb.default_delta_t_grid(series)
-        results, best = delta_comb.sweep_delta_t(series, dts,
-                                                 taus=np.arange(1.0, args.n + 1))
+        results, best = delta_comb.sweep_delta_t(series, dts, curve)
         _warn_if_edge("delta_t", dts, best)
         h = delta_comb.estimate_h(results[best].comb, args.n)
     else:
         h = args.h
     K = assemble_kernel(h, args.n)
-    curve = empirical_survival(series, K.taus)
     solutions, best = tikhonov.sweep_mu(K, curve, mus)
     sol = solutions[best]
 
@@ -196,9 +195,9 @@ def cmd_comb(args) -> None:
     series = _load_series(args)
     dts = (parse_value_list(args.dt) if args.dt
            else delta_comb.default_delta_t_grid(series))
-    taus = (parse_value_list(args.grid) if args.grid
-            else default_tau_grid(series))
-    results, best = delta_comb.sweep_delta_t(series, dts, taus=taus)
+    empirical = empirical_survival(series, parse_value_list(args.grid) if args.grid
+                                   else default_tau_grid(series))
+    results, best = delta_comb.sweep_delta_t(series, dts, empirical)
     comb, report = results[best].comb, results[best].ks
 
     _atomic_write(args.out_prefix + "_sweep.csv",
@@ -211,8 +210,7 @@ def cmd_comb(args) -> None:
                  ("ks_pvalue", f"{report.p_value:.6g}")])
     _warn_if_edge("delta_t", dts, best)
     if args.plot:
-        _plot_sweep(args.out_prefix, dts, results, best,
-                    empirical_survival(series, taus),
+        _plot_sweep(args.out_prefix, dts, results, best, empirical,
                     name="delta_t", short="dt", xlabel="delta_t [s]",
                     title="Delta-comb survival function",
                     label=f"comb dT={comb.delta_t:.3g}")

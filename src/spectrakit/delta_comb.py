@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .durations import DurationSeries, SurvivalCurve, empirical_survival, write_table
+from .durations import DurationSeries, SurvivalCurve, write_table
 from .gof import KsReport, ks_pvalue, sweep
 
 __all__ = [
@@ -219,12 +219,12 @@ def _psi_chunks(rates: np.ndarray, weights: np.ndarray, taus: np.ndarray):
 
 def comb_survival(comb: DeltaComb, taus) -> SurvivalCurve:
     """Mixture survival Psi(tau) = sum_j a_j * exp(-lambda_j * tau), within
-    1e-14 relative and 0 exactly where every term is (see _psi_chunks)."""
-    taus = np.asarray(taus, dtype=float)
-    psi = np.empty(taus.size)
-    for lo, chunk in _psi_chunks(comb.rates, comb.weights, taus.ravel()):
-        psi[lo:lo + chunk.size] = chunk
-    return SurvivalCurve(taus=taus, psi=psi, n_source=0)
+    1e-14 relative and 0 exactly where every term is (see _psi_chunks).
+    The tau grid is checked before any term is evaluated."""
+    curve = SurvivalCurve(taus=taus, psi=np.zeros(np.size(taus)), n_source=0)
+    for lo, chunk in _psi_chunks(comb.rates, comb.weights, curve.taus):
+        curve.psi[lo:lo + chunk.size] = chunk
+    return curve
 
 
 def _ks_distance(comb: DeltaComb, empirical: SurvivalCurve) -> float:
@@ -258,16 +258,13 @@ def default_delta_t_grid(series: DurationSeries) -> np.ndarray:
     return np.geomspace(lo, hi, DELTA_T_GRID_POINTS)
 
 
-def sweep_delta_t(series: DurationSeries, dts, taus):
-    """Fit a comb per delta_t and rank by KS p-value against the data.
-
-    The data are the empirical survival on ``taus``, whose n_source
-    (= series.n) is the KS sample size.  Returns gof.sweep's (results,
-    best_index), one CombSolution per delta_t; ties in p-value go to the
-    larger delta_t.
+def sweep_delta_t(series: DurationSeries, dts, empirical: SurvivalCurve):
+    """Fit a comb to ``series`` per delta_t and rank by KS p-value against
+    ``empirical``, the data's survival curve, whose n_source (at least 1)
+    is the KS sample size.  Returns gof.sweep's (results, best_index), one
+    CombSolution per delta_t; ties in p-value go to the larger delta_t.
     """
-    empirical = empirical_survival(series, taus)
-    n_eff = empirical.n_source
+    n_eff = max(empirical.n_source, 1)
 
     def one(dt) -> CombSolution:
         comb = fit_comb(series, dt)

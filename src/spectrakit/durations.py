@@ -71,7 +71,7 @@ class DurationSeries:
 
 @dataclass(frozen=True)
 class SurvivalCurve:
-    """A survival function sampled on a strictly increasing tau grid.
+    """A survival function sampled on a strictly increasing grid of taus >= 0.
 
     ``n_source`` is the number of underlying durations (0 for analytic
     curves); it feeds the effective sample size of the KS significance.
@@ -92,6 +92,8 @@ class SurvivalCurve:
             raise ValueError("taus and psi must be finite")
         if np.any(np.diff(taus) <= 0):
             raise ValueError("tau grid must be strictly increasing")
+        if taus[0] < 0:
+            raise ValueError("tau grid values must be >= 0")
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "psi", psi)
 
@@ -211,8 +213,6 @@ def empirical_survival(series: DurationSeries, taus) -> SurvivalCurve:
     the data support equals n for a unique maximum.
     """
     taus = np.asarray(taus, dtype=float)
-    if np.any(taus < 0):
-        raise ValueError("tau grid values must be >= 0")
     sorted_vals = np.sort(series.values)
     counts = series.n - np.searchsorted(sorted_vals, taus, side="left")
     return SurvivalCurve(taus=taus, psi=counts / series.n, n_source=series.n)

@@ -149,8 +149,7 @@ def test_criterion_6_method_cross_validation():
     curve = sk.empirical_survival(series, K.taus)
     solutions, best = sk.sweep_mu(K, curve, sk.default_mu_grid())
     tik = solutions[best]
-    results, cb_best = sk.sweep_delta_t(series, sk.default_delta_t_grid(series),
-                                        taus=K.taus)
+    results, cb_best = sk.sweep_delta_t(series, sk.default_delta_t_grid(series), curve)
     comb_curve = results[cb_best].rebuilt
     d_tik = float(np.max(np.abs(tik.rebuilt.psi - curve.psi)))
     d_comb = float(np.max(np.abs(comb_curve.psi - curve.psi)))

@@ -1,5 +1,6 @@
 import os
 import stat
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -422,6 +423,30 @@ def test_auto_h(tmp_path):
     assert run(["tikhonov", "--input", str(raw), "--auto-h", "--n", "100",
                 "--mu", "1e-2,1e-1", "-o", prefix]) == 0
     assert (tmp_path / "tk_spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("command, options", [
+    ("comb", []),
+    ("tikhonov", ["--auto-h", "--mu", "1e-2,1e-1"]),
+])
+def test_each_command_builds_one_empirical_curve(tmp_path, monkeypatch, command, options):
+    raw = tmp_path / "exp.txt"
+    assert run(["gen", "--exp", "0.3", "--n", "2000", "--seed", "8",
+                "-o", str(raw)]) == 0
+    original, calls = durations.empirical_survival, []
+
+    def counting(series, taus):
+        calls.append(np.size(taus))
+        return original(series, taus)
+
+    # every module that holds the function under its own name
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "spectrakit"
+                and getattr(module, "empirical_survival", None) is original):
+            monkeypatch.setattr(module, "empirical_survival", counting)
+    assert run([command, "--input", str(raw), *options, "--plot",
+                "-o", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_oversize_grid_range_is_refused(tmp_path, capsys):

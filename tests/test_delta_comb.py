@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectrakit import (DurationSeries, comb_survival, empirical_survival,
-                        estimate_h, fit_comb, sweep_delta_t)
+from spectrakit import (DurationSeries, MlParams, assemble_kernel, comb_survival,
+                        empirical_survival, estimate_h, fit_comb, ks_pvalue,
+                        ml_survival, sweep_delta_t, sweep_mu)
 from spectrakit.delta_comb import (_CHUNK, _ks_distance, default_delta_t_grid,
                                    write_comb_csv, write_delta_t_sweep_csv)
 
@@ -233,9 +234,18 @@ def test_comb_survival_monotone_in_unit_interval():
     assert np.all((curve.psi > 0) & (curve.psi <= 1))
 
 
+def test_comb_survival_refuses_negative_tau():
+    # exp(+0.5) would give Psi = 1.6487 at tau = -0.5, and exp(+1e6) overflow
+    comb = fit_comb(DurationSeries.from_values(np.ones(22)), 10.0)
+    for taus in ([-0.5], [-1e6, -2.0]):
+        with pytest.raises(ValueError, match="tau grid values must be >= 0"):
+            comb_survival(comb, taus)
+
+
 def test_sweep_single_element():
     series = DurationSeries.from_values(np.ones(22))
-    results, best = sweep_delta_t(series, [10.0], taus=np.arange(1.0, 6.0))
+    results, best = sweep_delta_t(series, [10.0],
+                                  empirical_survival(series, np.arange(1.0, 6.0)))
     assert best == 0 and len(results) == 1
 
 
@@ -243,7 +253,8 @@ def test_sweep_poisson_plateau():
     rng = np.random.default_rng(25)
     series = DurationSeries.from_values(rng.exponential(2.0, 20000))
     dts = np.geomspace(50, 2000, 8)
-    results, best = sweep_delta_t(series, dts, taus=np.arange(1.0, 21.0))
+    results, best = sweep_delta_t(series, dts,
+                                  empirical_survival(series, np.arange(1.0, 21.0)))
     ps = [r.ks.p_value for r in results]
     assert sum(p > 0.01 for p in ps) >= 6  # wide high-p plateau
     assert results[best].ks.p_value == max(ps)
@@ -251,9 +262,24 @@ def test_sweep_poisson_plateau():
 
 def test_sweep_ties_break_toward_larger_delta_t():
     series = DurationSeries.from_values(np.ones(22))
-    results, best = sweep_delta_t(series, [5.0, 10.0], taus=np.arange(1.0, 4.0))
+    results, best = sweep_delta_t(series, [5.0, 10.0],
+                                  empirical_survival(series, np.arange(1.0, 4.0)))
     assert results[0].ks == results[1].ks
     assert best == 1
+
+
+def test_sweep_against_an_analytic_curve_has_sample_size_one():
+    # n_source 0: both sweeps use a KS sample size of max(n_source, 1)
+    rng = np.random.default_rng(31)
+    series = DurationSeries.from_values(rng.exponential(8.85, 2000))
+    K = assemble_kernel(0.01, 40)
+    oracle = ml_survival(MlParams(beta=0.9, gamma=8.85), K.taus)
+    assert oracle.n_source == 0
+    results, _ = sweep_delta_t(series, [50.0, 200.0], oracle)
+    solutions, _ = sweep_mu(K, oracle, [1e-3])
+    for r in results + solutions:
+        assert r.ks.n_eff == 1
+        assert r.ks.p_value == ks_pvalue(r.ks.statistic, 1)
 
 
 def test_sweep_rejects_bad_delta_t_before_any_fit(monkeypatch):
@@ -267,9 +293,10 @@ def test_sweep_rejects_bad_delta_t_before_any_fit(monkeypatch):
 
     monkeypatch.setattr(delta_comb, "fit_comb", counting_fit)
     series = DurationSeries.from_values(np.ones(22))
+    empirical = empirical_survival(series, np.arange(1.0, 4.0))
     for dts in ([100.0, float("nan")], [5.0, 0.0], [5.0, -1.0], [float("inf")], []):
         with pytest.raises(ValueError, match="delta_t"):
-            sweep_delta_t(series, dts, taus=np.arange(1.0, 4.0))
+            sweep_delta_t(series, dts, empirical)
     assert calls == []
 
 
@@ -277,7 +304,7 @@ def test_sweep_keeps_each_rebuilt_curve():
     rng = np.random.default_rng(28)
     series = DurationSeries.from_values(rng.exponential(3.0, 2000))
     taus = np.arange(1.0, 30.0)
-    results, _ = sweep_delta_t(series, [20.0, 80.0, 300.0], taus=taus)
+    results, _ = sweep_delta_t(series, [20.0, 80.0, 300.0], empirical_survival(series, taus))
     for sol in results:
         assert np.array_equal(sol.rebuilt.taus, taus)
         assert np.array_equal(sol.rebuilt.psi, comb_survival(sol.comb, taus).psi)
@@ -298,15 +325,14 @@ def test_early_exit_ks_equals_full_grid_max(n_tau, start, step, seed, n, dt_over
     taus = start + step * np.arange(n_tau)
     dt = dt_over_mean * series.mean
     comb = fit_comb(series, dt)
-    # a sweep scores against its own data; rescaled data moves the largest
-    # gap, and so the early exit, past the first chunk
+    # rescaled data moves the largest gap, and so the early exit, past the
+    # first chunk; the sweep scores against the curve it is given
     empirical = empirical_survival(
         DurationSeries.from_values(series.values * data_scale), taus)
     d = _ks_distance(comb, empirical)
     assert d == float(np.max(np.abs(comb_survival(comb, taus).psi - empirical.psi)))
-    if data_scale == 1.0:
-        (sol,), _ = sweep_delta_t(series, [dt], taus=taus)
-        assert sol.ks.statistic == d
+    (sol,), _ = sweep_delta_t(series, [dt], empirical)
+    assert sol.ks.statistic == d
 
 
 def assert_close_to_oracle(comb, taus, psi):
@@ -373,7 +399,7 @@ def test_sweep_memory_is_bounded_by_the_chunk():
     taus = np.arange(1.0, 40_001.0)
     tracemalloc.start()
     try:
-        results, _ = sweep_delta_t(series, [40.0], taus=taus)
+        results, _ = sweep_delta_t(series, [40.0], empirical_survival(series, taus))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -521,7 +547,8 @@ def test_comb_csv_roundtrip():
 
 def test_sweep_csv_columns():
     series = DurationSeries.from_values(np.ones(22))
-    results, _ = sweep_delta_t(series, [5.0, 10.0], taus=np.arange(1.0, 4.0))
+    results, _ = sweep_delta_t(series, [5.0, 10.0],
+                               empirical_survival(series, np.arange(1.0, 4.0)))
     buf = io.StringIO()
     write_delta_t_sweep_csv(results, buf)
     lines = buf.getvalue().strip().splitlines()

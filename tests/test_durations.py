@@ -226,6 +226,14 @@ def test_empty_grid_rejected():
         empirical_survival(s, [])
 
 
+def test_negative_tau_is_refused_by_the_curve():
+    with pytest.raises(ValueError, match="tau grid values must be >= 0"):
+        SurvivalCurve(taus=[-1.0, 1.0], psi=[1.0, 0.5])
+    with pytest.raises(ValueError, match="tau grid values must be >= 0"):
+        empirical_survival(DurationSeries.from_values([1.0, 2.0]), [-1.0, 1.0])
+    assert SurvivalCurve(taus=[0.0, 1.0], psi=[1.0, 0.5]).taus[0] == 0.0
+
+
 def test_load_roundtrip_idempotent():
     s = load_durations("1.5\n2.25\n0.125\n")
     text = "\n".join(repr(float(v)) for v in s.values) + "\n"

@@ -13,10 +13,10 @@ def test_repeated_sweeps_are_bit_identical():
     dts = list(np.geomspace(20, 500, 6))
 
     first_sols, first_best = sweep_mu(K, curve, mus)
-    first_combs, first_cb = sweep_delta_t(series, dts, taus=K.taus)
+    first_combs, first_cb = sweep_delta_t(series, dts, curve)
 
     again_sols, again_best = sweep_mu(K, curve, mus)
-    again_combs, again_cb = sweep_delta_t(series, dts, taus=K.taus)
+    again_combs, again_cb = sweep_delta_t(series, dts, curve)
 
     assert again_best == first_best and again_cb == first_cb
     for a, b in zip(first_sols, again_sols):
