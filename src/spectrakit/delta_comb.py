@@ -177,6 +177,8 @@ _CHUNK = 64
 # exp(x) is a normal float for x >= _NORMAL_ARG and exactly +0.0 for x <= _ZERO_ARG
 _NORMAL_ARG = -708.0
 _ZERO_ARG = -746.0
+# ln 2**54 of _psi_chunks' relative cut, plus 1e-6 for rounding in its products and logs
+_ULP_GAP = 54 * math.log(2.0) + 1e-6
 
 
 def _psi_chunks(rates: np.ndarray, weights: np.ndarray, taus: np.ndarray):
@@ -185,30 +187,41 @@ def _psi_chunks(rates: np.ndarray, weights: np.ndarray, taus: np.ndarray):
 
     Taus increase (as SurvivalCurve requires), so on a block a column's
     argument -lambda*tau is lowest at the last tau.  Blocks where every
-    argument is above the block's cut are exp(np.outer(t, -rates)) @
+    argument is above the block's live cut are exp(np.outer(t, -rates)) @
     weights.  From the first other block on, the rates are sorted, weights
-    alongside: the columns with an argument above the cut form a prefix
-    [0, k), those with all above it a prefix [0, j), and the block is exp
-    of np.outer(t, -rates[:k]) in place, with its arguments at or below
-    the cut in columns [j, k) set to -inf first (a subnormal exp result
-    costs ~100x a normal one or -inf), then @ weights[:k].
+    alongside: the columns whose argument at the first tau is above the
+    live cut form a prefix [0, k), those with every argument above the
+    cut a prefix [0, j), and the block is exp of np.outer(t, -rates[:k])
+    in place, with its arguments at or below the cut in columns [j, k) set
+    to -inf first (a subnormal exp result costs ~100x a normal one or
+    -inf), then @ weights[:k].
 
-    The cut is -708 while the smallest rate's term keeps psi >= 2**-967
-    on the block: the skipped terms, each below exp(-708) with weights
-    summing to 1, stay under half its ulp (>= 2**-1021).  Otherwise the
-    cut is -746, which skips only exact zeros: psi is 0 exactly where the
-    full product np.exp(-np.outer(taus, rates)) @ weights is, and within
-    1e-14 relative of it (summed in rate order, not to the bit).
+    The cut is -708 while the smallest rate's term w_low * exp(-lambda_low
+    * tau) keeps psi >= 2**-967 on the block: the skipped terms, each below
+    exp(-708) with weights summing to 1, stay under half its ulp (>=
+    2**-1021).  There the live cut is the larger of -708 and the smallest
+    rate's argument at the block's first tau less ln(2**54 * W / w_low), W
+    the sum of the weights: on the whole block each column below it has a
+    term under 2**-54 * w_j / W of the smallest rate's, so together they
+    stay under 2**-54 * psi, below half its ulp.  A zero w_low or a
+    negative weight turns this relative cut off.  Otherwise both cuts are
+    -746, which skips only exact zeros: psi is 0 exactly where the full
+    product np.exp(-np.outer(taus, rates)) @ weights is, and within 1e-14
+    relative of it (summed in rate order, not to the bit).
     """
     neg_rates, low, ordered = -rates, np.argmin(rates), False
+    w_low = weights[low]
+    gap = (_ULP_GAP + math.log(np.sum(weights)) - math.log(w_low)
+           if w_low > 0 and np.min(weights) >= 0 else math.inf)
     for lo in range(0, taus.size, _CHUNK):
         t = taus[lo:lo + _CHUNK]
         floor = weights[low] * np.exp(neg_rates[low] * t[-1])
         cut = _NORMAL_ARG if floor >= 2.0 ** -967 else _ZERO_ARG
-        if not ordered and np.min(t[-1] * neg_rates) <= cut:
+        live = max(cut, t[0] * neg_rates[low] - gap) if cut == _NORMAL_ARG else cut
+        if not ordered and np.min(t[-1] * neg_rates) <= live:
             order = np.argsort(rates, kind="stable")
             neg_rates, weights, low, ordered = neg_rates[order], weights[order], 0, True
-        k = np.count_nonzero(t[0] * neg_rates > cut)
+        k = np.count_nonzero(t[0] * neg_rates > live)
         j = np.count_nonzero(t[-1] * neg_rates[:k] > cut)
         block = np.outer(t, neg_rates[:k])
         band = block[:, j:]

@@ -131,7 +131,8 @@ def _floats(strings) -> np.ndarray | None:
 def _parse_numbers(lines) -> np.ndarray:
     """The numbers _parse_lines yields, converted a chunk of lines at a time.
 
-    Each chunk goes through float() in one pass, as raw lines (float()
+    A chunk whose first line is not str is refused with TypeError.  Each
+    chunk goes through float() in one pass, as raw lines (float()
     strips what str.strip() strips, and refuses blank and '#' lines) or
     else as stripped data lines.  Only a chunk with a line that does not
     parse or is not finite is parsed again line by line, for its error.
@@ -139,6 +140,9 @@ def _parse_numbers(lines) -> np.ndarray:
     lines = iter(lines)
     parts, start = [], 1
     while chunk := list(islice(lines, _PARSE_CHUNK)):
+        if not isinstance(chunk[0], str):
+            raise TypeError("source must be str or an iterable of str lines, "
+                            f"not {type(chunk[0]).__name__} lines")
         part = _floats(chunk)
         if part is None:
             part = _floats([line for line in map(str.strip, chunk)
@@ -158,8 +162,8 @@ def load_durations(source, mode: str = "durations",
     ----------
     source : str or iterable of str lines
         Text with one number per line; '#' lines are comments.  A bytes
-        source is refused with TypeError.  Lines must be str: bytes or
-        float lines are converted in some chunks and refused in others.
+        source, or bytes lines (a file opened in binary mode), are refused
+        with TypeError.
     mode : {'durations', 'timestamps'}
         'durations' takes the numbers as waiting times; 'timestamps'
         takes successive differences of non-decreasing event times.

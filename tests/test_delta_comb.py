@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from spectrakit import (DurationSeries, MlParams, assemble_kernel, comb_survival,
                         empirical_survival, estimate_h, fit_comb, ks_pvalue,
                         ml_survival, sweep_delta_t, sweep_mu)
-from spectrakit.delta_comb import (_CHUNK, _ks_distance, default_delta_t_grid,
-                                   write_comb_csv, write_delta_t_sweep_csv)
+from spectrakit.delta_comb import (_CHUNK, _ULP_GAP, _ks_distance,
+                                   default_delta_t_grid, write_comb_csv,
+                                   write_delta_t_sweep_csv)
 
 
 def test_constant_durations_hand_trace():
@@ -355,7 +356,8 @@ def assert_close_to_oracle(comb, taus, psi):
 
 _ORACLE_CHECK = """
 import numpy as np
-from spectrakit import DeltaComb, DurationSeries, comb_survival, fit_comb
+from spectrakit import (DeltaComb, DurationSeries, MlParams, comb_survival, fit_comb,
+                        gen_mittag_leffler)
 from test_delta_comb import assert_close_to_oracle
 rng = np.random.default_rng(29)
 series = DurationSeries.from_values(rng.exponential(1.0, 5000)
@@ -371,6 +373,12 @@ for rates, weights in (([1.0, 1.5, 2.0], [0.2, 0.3, 0.5]), ([1.0], [1.0])):
     cases.append((few, np.arange(0.0, 800.0, 0.5)))
 for comb, taus in cases:
     assert_close_to_oracle(comb, taus, comb_survival(comb, taus).psi)
+# the ml-55k plot curve: m = 3,735 rates over 3.4 decades on tau = 1..40,000,
+# where the relative cut leaves 2.4% of the terms live; the oracle checks
+# every 37th row (37 is prime to the block length)
+wide = fit_comb(gen_mittag_leffler(MlParams(0.95, 8.85), 55_559, 202), 138.2)
+taus = np.arange(1.0, 40001.0)
+assert_close_to_oracle(wide, taus[::37], comb_survival(wide, taus).psi[::37])
 print("ok")
 """
 
@@ -427,15 +435,18 @@ def _rate_hitting(product: float, tau: float) -> float:
 def comb_on_grid(draw):
     """A comb and an increasing tau grid whose products lambda * tau land on
     the cuts 708 and 746, between them, and across block boundaries (live
-    in one block, skipped in the next)."""
+    in one block, skipped in the next), with columns on either side of the
+    relative cut at a block start and the smallest rate's weight down to
+    1e-300, or 0."""
     n_tau = draw(st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
                  | st.integers(1, 4 * _CHUNK))
     start = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 50.0))
     step = draw(st.sampled_from([0.25, 1.0]) | st.floats(0.01, 20.0))
     taus = start + step * np.arange(n_tau)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    # generic columns: lambda * tau_max spread from 1e-3 to 1e4
-    rates = list(10.0 ** rng.uniform(-3, 4, draw(st.integers(0, 40))) / taus[-1]
+    # generic columns: lambda * tau_max spread from 1e-3 (or 10) to 1e4
+    lowest = draw(st.sampled_from([-3.0, 1.0]))
+    rates = list(10.0 ** rng.uniform(lowest, 4, draw(st.integers(0, 40))) / taus[-1]
                  if taus[-1] > 0 else [])
     # 745.13: the last product whose exp is not 0 (the smallest subnormal)
     targets = [708.0, 746.0, 745.13, draw(st.floats(708.0, 745.2))]
@@ -453,10 +464,33 @@ def comb_on_grid(draw):
             rates.append(_rate_hitting(product, float(taus[k])))
     if not rates:
         rates = [draw(st.floats(1e-3, 100.0))]
-    rates = np.array(rates)
-    rng.shuffle(rates)
+    # room for triples of columns around the relative cut, filled in below
+    block_starts = [k for k in range(0, n_tau, _CHUNK) if taus[k] > 0]
+    base = len(rates)
+    order = rng.permutation(base + 3 * (draw(st.integers(0, 4)) if block_starts else 0))
+    rates = np.concatenate((rates, np.full(order.size - base, np.inf)))[order]
     weights = rng.uniform(0.01, 1.0, rates.size)
-    return _comb(rates, weights / weights.sum()), taus
+    weights /= weights.sum()
+    low = int(np.argmin(rates))
+    tiny = draw(st.none() | st.sampled_from([0.0, 1e-300])
+                | st.floats(-300.0, 0.0).map(lambda e: 10.0 ** e))
+    if tiny is not None:
+        weights[low] = tiny
+    # _psi_chunks' live cut at a block start tau t0 is the larger of -708 and
+    # -lambda_low * t0 - ln(2**54 * W / w_low): a column on it and one on
+    # either side, next to it or 1, 10 or 30 away (30 inside, a term is e**30
+    # times its 2**-54 bound)
+    w_low = weights[low]
+    gap = (_ULP_GAP + math.log(float(np.sum(weights))) - math.log(w_low)
+           if w_low > 0 else math.inf)
+    for at in np.flatnonzero(order >= base).reshape(-1, 3):
+        t0 = float(taus[draw(st.sampled_from(block_starts))])
+        product = -max(-708.0, t0 * -rates[low] - gap)
+        off = draw(st.sampled_from([0.0, 1.0, 10.0, 30.0]))
+        rates[at] = (np.nextafter(_rate_hitting(product - off, t0), 0.0),
+                     _rate_hitting(product, t0),
+                     np.nextafter(_rate_hitting(product + off, t0), np.inf))
+    return _comb(rates, weights), taus
 
 
 @settings(max_examples=200, deadline=None)
@@ -487,6 +521,22 @@ def test_class_thresholds_at_a_block_start():
         for comb in (_comb([rate]), _comb([rate, 2.0, 1e-4])):
             assert_close_to_oracle(comb, taus, comb_survival(comb, taus).psi)
     assert comb_survival(_comb([745.13 / start]), [start]).psi[0] == 5e-324
+
+
+def test_relative_cut_at_a_block_start():
+    # every other column sits inside the relative cut of a low column of
+    # weight w at tau = 128, a block start, or on it or next to it: a cut
+    # that left out ln(W / w) would skip terms far above 2**-54 of psi
+    taus = np.arange(1.0, 3 * _CHUNK + 7.0)
+    start, low = 128.0, 1e-3
+    for w in (1e-280, 1e-100, 1e-20, 1e-3, 0.5):
+        gap = _ULP_GAP + math.log(1.0 + w) - math.log(w)
+        product = start * low + gap
+        rates = [low] + [_rate_hitting(product - off, start)
+                         for off in (0.0, 1.0, 10.0, 30.0, 0.5 * gap)]
+        rates += [np.nextafter(rates[1], 0.0), np.nextafter(rates[1], np.inf)]
+        comb = _comb(rates, np.array([w] + [1.0 / (len(rates) - 1)] * (len(rates) - 1)))
+        assert_close_to_oracle(comb, taus, comb_survival(comb, taus).psi)
 
 
 def test_comb_survival_memory_is_a_few_blocks():

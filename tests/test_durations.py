@@ -211,6 +211,15 @@ def test_load_durations_refuses_a_bytes_source():
             load_durations(source)
 
 
+def test_load_durations_refuses_bytes_lines():
+    # a file opened in binary mode: refused whether or not float() would
+    # take its first chunk (it takes b"1.5", not b"#x")
+    for lines in (b"1.5\n2\n", b"#x\n2\n"):
+        for source in (io.BytesIO(lines), lines.splitlines()):
+            with pytest.raises(TypeError, match="not bytes lines"):
+                load_durations(source)
+
+
 def test_permutation_invariance():
     rng = np.random.default_rng(3)
     vals = rng.exponential(1.0, 100)
