@@ -155,6 +155,82 @@ def test_svg_titles_and_labels_are_escaped():
         assert f">{escape(text)}</text>" in svg
 
 
+def _format_points(x, y):
+    # the reference: one format() call per point
+    return " ".join(map("{:.2f},{:.2f}".format, x.tolist(), y.tolist()))
+
+
+def _assert_points_match_format(x, y):
+    # point by point, so that a failure lists its first points, not a diff of MBs
+    got, want = svgplot._points(x, y).split(" "), _format_points(x, y).split(" ")
+    bad = [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert (len(got), bad[:5]) == (len(want), [])
+
+
+_HALVES = np.concatenate([np.arange(-1_000, 64_100),
+                          np.arange(104_857_000, 104_857_600)]) + 0.5
+_HALVES /= 100
+_BOUND = svgplot._EXACT
+
+
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(5).uniform(0, 640, 100_000),
+    np.random.default_rng(6).uniform(-_BOUND, _BOUND, 100_000),
+    np.concatenate([_HALVES, np.nextafter(_HALVES, np.inf),
+                    np.nextafter(_HALVES, -np.inf)]),
+    np.array([-0.0, 0.0, 1e-300, -1e-300, 5e-324, -0.001, -0.005, -0.0051,
+              -1.0, -9.995, -639.99, 99.995, 999.999]),
+    np.array([np.nextafter(_BOUND, 0), -np.nextafter(_BOUND, 0), 12.5, -3.0]),
+    np.array([_BOUND, 12.5, -3.0]),
+    np.array([-_BOUND, 12.5, -3.0]),
+    np.array([np.nextafter(_BOUND, np.inf), 1e300, -1e300, 0.25]),
+    np.array([np.nan, 1.5, 2.5]),
+    np.array([np.inf, -np.inf, 0.125]),
+    np.array([]),
+], ids=["uniform-0-640", "uniform-bound", "half-hundredths", "signs-and-tiny",
+        "below-bound", "at-bound", "at-minus-bound", "past-bound", "nan", "inf",
+        "empty"])
+def test_points_match_format_byte_for_byte(values):
+    for x, y in ((values, values[::-1]), (values, np.zeros_like(values)),
+                 (np.full_like(values, -0.0), values)):
+        _assert_points_match_format(x, y)
+
+
+@given(st.lists(st.tuples(st.floats(), st.floats()), max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_points_match_format_on_any_floats(pairs):
+    x, y = np.array(pairs, dtype=float).reshape(-1, 2).T
+    _assert_points_match_format(x, y)
+
+
+def test_points_pinned_roundings():
+    # exact binary ties round to even; 2.675 and 1.005 sit just below a half
+    x = np.array([0.125, 0.375, 2.675, 1.005, -0.001])
+    assert svgplot._points(x, x[::-1]) == (
+        "0.12,-0.00 0.38,1.00 2.67,2.67 1.00,0.38 -0.00,0.12")
+
+
+def test_cli_plots_match_the_format_reference(tmp_path, monkeypatch):
+    # every SVG the commands write, against the one-format()-per-point writer
+    data = tmp_path / "ml.txt"
+    assert main(["gen", "--ml", "--n", "3000", "--seed", "4", "-o", str(data)]) == 0
+
+    def plots(out):
+        out.mkdir()
+        assert main(["survival", "--input", str(data), "-o", str(out / "s.csv"),
+                     "--plot", str(out / "s.svg")]) == 0
+        for command in ("tikhonov", "comb"):
+            assert main([command, "--input", str(data), "-o", str(out / command),
+                         "--plot"]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.glob("*.svg"))}
+
+    fast = plots(tmp_path / "fast")
+    monkeypatch.setattr(svgplot, "_points", _format_points)
+    reference = plots(tmp_path / "reference")
+    assert [name for name in fast if reference[name] != fast[name]] == []
+    assert len(fast) == 5 and fast["comb_fit.svg"].count(b",") > 4000
+
+
 finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
 positive = st.floats(min_value=1e-300, max_value=1e300)
 
