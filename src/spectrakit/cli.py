@@ -133,7 +133,7 @@ def cmd_gen(args) -> None:
         series = synthetic.gen_mittag_leffler(params, args.n, args.seed)
         header = (f"# mittag-leffler beta={args.beta:g} gamma={args.gamma:g} "
                   f"n={args.n} seed={args.seed}")
-    _atomic_write(args.out, lambda fh: write_table(fh, header, repr, series.values))
+    _atomic_write(args.out, lambda fh: write_table(fh, header, "{!r}", series.values))
     _echo(args, [("out", args.out), ("n", series.n), ("seed", args.seed)])
 
 
@@ -176,7 +176,7 @@ def cmd_tikhonov(args) -> None:
                   lambda fh: tikhonov.write_spectrum_csv(sol.spectrum, fh))
     _atomic_write(args.out_prefix + "_survival.csv",
                   lambda fh: write_table(fh, "tau,psi_empirical,psi_rebuilt",
-                                         "{:.12g},{:.6f},{:.6f}".format,
+                                         "{:.12g},{:.6f},{:.6f}",
                                          K.taus, curve.psi, sol.rebuilt.psi))
     _echo(args, [("input", args.input), ("h", f"{h:g}"), ("n", args.n),
                  ("mu_count", len(solutions)), ("best_mu", f"{sol.mu:g}"),

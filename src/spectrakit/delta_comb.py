@@ -303,13 +303,13 @@ def estimate_h(comb: DeltaComb, n: int) -> float:
 def write_comb_csv(comb: DeltaComb, stream) -> None:
     stream.write(f"# delta_t={comb.delta_t:.12g}\n")
     write_table(stream, "lambda,weight,window_count,window_sum",
-                "{:.12g},{:.12g},{:d},{:.12g}".format,
+                "{:.12g},{:.12g},{:d},{:.12g}",
                 comb.rates, comb.weights, comb.window_counts, comb.window_sums)
 
 
 def write_delta_t_sweep_csv(results, stream) -> None:
     """Per-delta_t report: delta_t,m,ks_statistic,ks_pvalue."""
     write_table(stream, "delta_t,m,ks_statistic,ks_pvalue",
-                "{:.12g},{:d},{:.12g},{:.12g}".format,
+                "{:.12g},{:d},{:.12g},{:.12g}",
                 *zip(*[(r.comb.delta_t, r.comb.m, r.ks.statistic, r.ks.p_value)
                        for r in results]))

@@ -225,24 +225,74 @@ def empirical_survival(series: DurationSeries, taus) -> SurvivalCurve:
 # rows formatted at once by write_table
 _TABLE_ROWS = 1 << 16
 
+# below this many units of the last digit, |v| * 10**d rounds by under 2**-26 << _TIE
+_EXACT, _TIE = 2.0 ** 20 * 100, 1e-6
 
-def write_table(stream, header: str, line, *columns) -> None:
-    """Write the header line, then line(*row) per row of the equal-length columns.
 
-    ``line`` formats one row of Python scalars, e.g. ``"{:.12g},{:.6f}".format``.
+def _fixed(v, d: int):
+    """The ``{:.{d}f}`` text of each value as a 0-padded uint8 row with a spare 0
+    column at the end, or None if a value is non-finite or |v| * 10**d >= _EXACT.
+    A value within _TIE of a half unit takes its digits from format()."""
+    neg = np.signbit(v)  # format() writes -0.0
+    h = np.abs(v)
+    if not np.all(h < _EXACT / 10 ** d):
+        return None
+    h *= 10 ** d
+    n = np.rint(h).astype(np.int32)
+    h -= n
+    tie = np.flatnonzero(np.abs(h, out=h) > 0.5 - _TIE)
+    del h  # each temporary is a piece long; hold as few as possible at once
+    n[tie] = [int(format(abs(t), f".{d}f").replace(".", "")) for t in v[tie].tolist()]
+    ndig = len(str(int(n.max(initial=0)) // 10 ** d))
+    # a row per value: "-", digits, "." and d digits (no "." at d = 0), spare column
+    chars = np.zeros((v.size, ndig + 2 + d + (d > 0)), np.uint8)
+    chars[neg, 0] = ord("-")
+    chars[:, ndig + 1] = ord(".") if d else 0
+    for col in (*range(ndig + 1 + d, ndig + 1, -1), *range(ndig, 0, -1)):
+        chars[:, col] = n % 10 + ord("0")
+        if col < ndig:
+            chars[n == 0, col] = 0
+        n //= 10
+    return chars
+
+
+# the fields whose text _fixed writes: .Nf, and .12g over whole numbers as d = 0
+_DECIMALS = {"{:.12g}": 0, **{f"{{:.{d}f}}": d for d in range(1, 10)}}
+
+
+def _table_piece(piece, decimals) -> str | None:
+    # the rows of fields joined by "," and ended by "\n", or None for format()
+    blocks = [_fixed(v, d) if d is not None and v.dtype == float
+              and (d or np.all(v == np.trunc(v))) else None
+              for v, d in zip(piece, decimals)]
+    if len(decimals) != len(piece) or any(chars is None for chars in blocks):
+        return None
+    for chars in blocks:
+        chars[:, -1] = ord(",")
+    blocks[-1][:, -1] = ord("\n")
+    flat = np.hstack(blocks).ravel()
+    return str(flat[flat != 0], "ascii")
+
+
+def write_table(stream, header: str, fmt: str, *columns) -> None:
+    """Write the header line, then fmt.format(*row) per row of the equal-length columns.
+
+    ``fmt`` formats one row of Python scalars, e.g. ``"{:.12g},{:.6f}"``.
     Rows are formatted _TABLE_ROWS at a time, so neither a whole column as
-    Python objects nor the whole text is ever held.
+    Python objects nor the whole text is ever held.  A piece of float columns
+    in .Nf fields, or .12g ones over whole numbers, goes through _fixed instead.
     """
     columns = [np.asarray(c) for c in columns]
     sizes = {c.size for c in columns}
     if len(sizes) > 1:
         raise ValueError(f"table columns must have equal lengths, got {sorted(sizes)}")
+    decimals = [_DECIMALS.get(field) for field in fmt.split(",")]
     stream.write(header + "\n")
     for lo in range(0, max(sizes, default=0), _TABLE_ROWS):
-        rows = map(line, *[c[lo:lo + _TABLE_ROWS].tolist() for c in columns])
-        stream.write("\n".join(rows) + "\n")
+        piece = [c[lo:lo + _TABLE_ROWS] for c in columns]
+        stream.write(_table_piece(piece, decimals)
+                     or "\n".join(map(fmt.format, *[p.tolist() for p in piece])) + "\n")
 
 
 def write_survival_csv(curve: SurvivalCurve, stream) -> None:
-    write_table(stream, "tau,psi", "{:.12g},{:.6f}".format, curve.taus, curve.psi)
-
+    write_table(stream, "tau,psi", "{:.12g},{:.6f}", curve.taus, curve.psi)

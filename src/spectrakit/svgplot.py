@@ -26,37 +26,14 @@ def _pieces(values, log: bool):
         yield np.log10(np.where(piece > 0, piece, np.nan)) if log else piece
 
 
-# below 2**20, |v|*100 rounds by under 2**-26, far inside the tie window
-_EXACT, _TIE = 2.0 ** 20, 1e-6
-
-
 def _points(x, y) -> str:
-    """``" ".join(map("{:.2f},{:.2f}".format, x, y))`` byte for byte, in numpy:
-    a value within _TIE of a half hundredth takes its digits from format(), and
-    a piece with a non-finite value or |v| >= _EXACT goes through format() whole."""
-    v = np.column_stack((x, y)).ravel()
-    neg = np.signbit(v)  # format() writes -0.00
-    np.abs(v, out=v)
-    if not np.all(v < _EXACT):
+    """``" ".join(map("{:.2f},{:.2f}".format, x, y))`` byte for byte: the digits
+    come from durations._fixed, and a piece it refuses goes through format()."""
+    chars = durations._fixed(np.column_stack((x, y)).ravel(), 2)
+    if chars is None:
         return " ".join(map("{:.2f},{:.2f}".format, x.tolist(), y.tolist()))
-    h = v * 100
-    n = np.rint(h).astype(np.int32)
-    h -= n
-    tie = np.flatnonzero(np.abs(h, out=h) > 0.5 - _TIE)
-    del h  # each temporary is a piece long; hold as few as possible at once
-    n[tie] = [int(format(t, ".2f").replace(".", "")) for t in v[tie].tolist()]
-    ndig = len(str(int(n.max(initial=0)) // 100))
-    # a row per value: "-", digits, ".", 2 digits, "," or " "; 0 pads, dropped below
-    chars = np.zeros((v.size, ndig + 5), np.uint8)
-    chars[neg, 0] = ord("-")
-    chars[:, ndig + 1] = ord(".")
     chars[:, -1] = ord(" ")
     chars[::2, -1] = ord(",")
-    for col in (ndig + 3, ndig + 2, *range(ndig, 0, -1)):
-        chars[:, col] = n % 10 + ord("0")
-        if col < ndig:
-            chars[n == 0, col] = 0
-        n //= 10
     flat = chars.ravel()
     return str(flat[flat != 0][:-1], "ascii")
 

@@ -150,5 +150,6 @@ def ml_survival(p: MlParams, taus) -> SurvivalCurve:
         with np.errstate(over="ignore"):  # an inf rate's terms are exactly 0
             chunks = _psi_chunks(np.exp(u / p.beta), weights, a)
             psi[live] = np.concatenate([chunk for _, chunk in chunks])
-    # the weights sum to 1 only up to rounding, and Psi never exceeds 1
-    return SurvivalCurve(taus=taus, psi=np.minimum(psi, 1.0), n_source=0)
+    # the weights sum to 1 only up to rounding; Psi never exceeds 1, nor rises
+    psi = np.minimum.accumulate(np.minimum(psi, 1.0))
+    return SurvivalCurve(taus=taus, psi=psi, n_source=0)

@@ -137,13 +137,13 @@ def sweep_mu(K, psi, mus):
 
 
 def write_spectrum_csv(spectrum: SpectrumGrid, stream) -> None:
-    write_table(stream, "lambda,g", "{:.12g},{:.12g}".format,
+    write_table(stream, "lambda,g", "{:.12g},{:.12g}",
                 spectrum.lambdas, spectrum.masses)
 
 
 def write_mu_sweep_csv(solutions, stream) -> None:
     """Per-mu report: mu,ks_statistic,ks_pvalue,neg_mass,total_mass."""
     write_table(stream, "mu,ks_statistic,ks_pvalue,neg_mass,total_mass",
-                "{:.12g},{:.12g},{:.12g},{:.12g},{:.12g}".format,
+                "{:.12g},{:.12g},{:.12g},{:.12g},{:.12g}",
                 *zip(*[(s.mu, s.ks.statistic, s.ks.p_value, s.spectrum.negative_mass,
                         s.spectrum.total_mass) for s in solutions]))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spectrakit import cli, durations, synthetic
+from spectrakit import cli, delta_comb, durations, synthetic, tikhonov
 from spectrakit.cli import main, parse_mixture, parse_value_list
 from spectrakit.durations import MAX_GRID_POINTS
 
@@ -230,20 +230,19 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):
     data.write_text("\n".join(str(v) for v in range(1, 11)))
     out = tmp_path / "s.csv"
     out.write_text("old contents\n")
-    rows = []
+    columns, fixed = [], durations._fixed
 
-    def line(tau, psi):
-        if len(rows) == 4:
+    def broken(v, d):
+        if len(columns) == 2:  # both columns of the first piece
             raise ValueError("formatter broke")
-        rows.append(tau)
-        return f"{tau},{psi}"
+        columns.append(v.size)
+        return fixed(v, d)
 
     monkeypatch.setattr(durations, "_TABLE_ROWS", 4)
-    monkeypatch.setattr(cli, "write_survival_csv", lambda curve, stream:
-                        durations.write_table(stream, "tau,psi", line, curve.taus, curve.psi))
+    monkeypatch.setattr(durations, "_fixed", broken)
     assert run(["survival", "--input", str(data), "-o", str(out)]) == 1
     assert "error: formatter broke" in capsys.readouterr().err
-    assert len(rows) == 4
+    assert columns == [4, 4]
     assert out.read_text() == "old contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.txt", "s.csv"]
 
@@ -309,6 +308,33 @@ def test_large_survival_table_streams(tmp_path):
     assert lines[-1] == "1000000,0.000000"
     text = svg.read_text()
     assert text.endswith("</svg>") and text.count("<polyline ") == 2
+
+
+def _format_table(stream, header, fmt, *columns):
+    # the reference: one str.format call per row
+    stream.write(header + "\n")
+    for row in zip(*[np.asarray(c).tolist() for c in columns]):
+        stream.write(fmt.format(*row) + "\n")
+
+
+def test_cli_tables_match_the_format_reference(tmp_path, monkeypatch):
+    # every CSV the commands write, against the one-str.format-per-row writer
+    def tables(out):
+        out.mkdir()
+        data = out / "ml.txt"
+        assert run(["gen", "--ml", "--n", "3000", "--seed", "4", "-o", str(data)]) == 0
+        assert run(["survival", "--input", str(data), "-o", str(out / "s.csv")]) == 0
+        for command in ("tikhonov", "comb"):
+            assert run([command, "--input", str(data), "-o", str(out / command)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    fast = tables(tmp_path / "fast")
+    for module in (durations, cli, tikhonov, delta_comb):
+        monkeypatch.setattr(module, "write_table", _format_table)
+    reference = tables(tmp_path / "reference")
+    assert list(fast) == list(reference) and len(fast) == 7
+    assert [name for name in fast if reference[name] != fast[name]] == []
+    assert fast["s.csv"].count(b"\n") > 1000
 
 
 def test_survival_timestamps_mode(tmp_path):

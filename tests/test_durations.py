@@ -264,11 +264,100 @@ def test_write_table_pieces_equal_row_by_row(rows):
     rng = np.random.default_rng(rows)
     x, k = rng.exponential(3.0, rows), rng.integers(-10**6, 10**6, rows)
     buf = io.StringIO()
-    write_table(buf, "x,k", "{:.12g},{:d}".format, x, k)
+    write_table(buf, "x,k", "{:.12g},{:d}", x, k)
     expected = "x,k\n" + "".join(f"{a:.12g},{b:d}\n" for a, b in zip(x.tolist(), k.tolist()))
     assert buf.getvalue() == expected
     with pytest.raises(ValueError, match="equal lengths"):
-        write_table(io.StringIO(), "x,k", "{},{}".format, [1.0], [1, 2])
+        write_table(io.StringIO(), "x,k", "{},{}", [1.0], [1, 2])
+
+
+def _format_table(header, fmt, *columns):
+    # the reference: one str.format call per row
+    rows = zip(*[np.asarray(c).tolist() for c in columns])
+    return header + "\n" + "".join(fmt.format(*row) + "\n" for row in rows)
+
+
+def _assert_table_matches_format(fmt, *columns):
+    # row by row, so that a failure lists its first rows, not a diff of MBs
+    buf = io.StringIO()
+    write_table(buf, "h", fmt, *columns)
+    got = buf.getvalue().split("\n")
+    want = _format_table("h", fmt, *columns).split("\n")
+    bad = [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert (len(got), bad[:5]) == (len(want), [])
+
+
+_ROW_FORMATS = ["{:.12g},{:.6f}", "{:.12g},{:.6f},{:.6f}", "{:.12g},{:d},{:.12g},{:.12g}",
+                "{!r}"]
+
+
+def _table_columns(fmt, taus, v):
+    k = np.arange(v.size)
+    return {"{:.12g},{:.6f}": (taus, v), "{:.12g},{:.6f},{:.6f}": (taus, v, v[::-1]),
+            "{:.12g},{:d},{:.12g},{:.12g}": (taus, k, v, v[::-1]), "{!r}": (v,)}[fmt]
+
+
+# half-millionths across [0, 1] and below the bound, and every exact binary one (j/128)
+_HALF_MILLIONTHS = np.concatenate([
+    (np.concatenate([np.arange(-1_000, 1_000_000, 37),
+                     np.arange(104_857_000, 104_857_600)]) + 0.5) / 1e6,
+    np.arange(-13_421, 13_421, 2) / 128])
+_PSI_BOUND = durations._EXACT / 1e6  # |v| past which a .6f piece goes through format()
+
+
+@pytest.mark.parametrize("fmt", _ROW_FORMATS)
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(7).uniform(0, 1, 100_000),
+    np.concatenate([_HALF_MILLIONTHS, np.nextafter(_HALF_MILLIONTHS, np.inf),
+                    np.nextafter(_HALF_MILLIONTHS, -np.inf)]),
+    np.array([-0.0, 0.0, 1e-300, -1e-300, 5e-324, -4e-7, -5e-7, -6e-7, -1.0, 0.9999995]),
+    np.array([_PSI_BOUND, -_PSI_BOUND, np.nextafter(_PSI_BOUND, 0), 0.5]),
+    np.array([np.nextafter(_PSI_BOUND, 0), -np.nextafter(_PSI_BOUND, 0), 0.5]),
+    np.array([np.nextafter(_PSI_BOUND, np.inf), 1e300, 0.25]),
+    np.array([np.nan, 0.5, 0.25]),
+    np.array([np.inf, -np.inf, 0.125]),
+], ids=["uniform", "half-millionths", "signs-and-tiny", "at-bound", "below-bound",
+        "past-bound", "nan", "inf"])
+def test_write_table_matches_format_on_psi(fmt, values):
+    # whole taus of both signs, -0.0 first, beside each case of values
+    k = np.arange(values.size)
+    _assert_table_matches_format(fmt, *_table_columns(fmt, np.where(k % 2, k, -k) * 1.0,
+                                                      values))
+
+
+_TAU_BOUND = durations._EXACT  # whole taus at or past it go through format()
+
+
+@pytest.mark.parametrize("fmt", _ROW_FORMATS)
+@pytest.mark.parametrize("taus", [
+    np.array([_TAU_BOUND - 1, 1 - _TAU_BOUND, -0.0, 0.0, 7.0]),
+    np.array([_TAU_BOUND, 1.0, 2.0]),
+    np.array([-_TAU_BOUND, 1.0, 2.0]),
+    np.array([np.nextafter(_TAU_BOUND, 0), 1.0, 2.0]),
+    np.arange(1.0, 50_001.0) / 3,
+    1e12 + np.arange(50_000.0),
+    np.array([np.nan, 1.0, 2.0]),
+    np.array([np.inf, -np.inf, 2.0]),
+    np.arange(0.0),
+    np.arange(_TABLE_ROWS - 1.0),
+    np.arange(_TABLE_ROWS + 1.0),
+], ids=["below-bound", "at-bound", "at-minus-bound", "just-below-bound-fraction",
+        "fractional", "1e12", "nan", "inf", "rows-0", "rows-minus-1", "rows-plus-1"])
+def test_write_table_matches_format_on_taus(fmt, taus):
+    psi = np.random.default_rng(taus.size).uniform(0, 1, taus.size)
+    _assert_table_matches_format(fmt, *_table_columns(fmt, taus, psi))
+
+
+def test_other_pieces_take_format():
+    # only float columns in .Nf fields, or .12g ones over whole numbers, take _fixed
+    psi = np.linspace(0.0, 1.0, 5)
+    assert durations._table_piece([np.arange(5.0), psi], [0, 6]) is not None
+    for taus in (np.arange(5.0) / 3, 1e12 + np.arange(5.0), np.arange(5),
+                 np.array([10**30, 1, 2, 3, 4], dtype=object)):
+        assert durations._table_piece([taus, psi], [0, 6]) is None
+        _assert_table_matches_format("{:.12g},{:.6f}", taus, psi)
+    with pytest.raises(IndexError):  # a field without its column, as in str.format
+        write_table(io.StringIO(), "h", "{:.12g},{:.6f}", np.arange(5.0))
 
 
 def test_survival_csv_roundtrip():

@@ -170,7 +170,7 @@ def _assert_points_match_format(x, y):
 _HALVES = np.concatenate([np.arange(-1_000, 64_100),
                           np.arange(104_857_000, 104_857_600)]) + 0.5
 _HALVES /= 100
-_BOUND = svgplot._EXACT
+_BOUND = durations._EXACT / 100
 
 
 @pytest.mark.parametrize("values", [
