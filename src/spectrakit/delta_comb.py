@@ -80,18 +80,24 @@ def _scan(values, delta_t: float, counts: list, sums: list) -> None:
         sums.append(cur_t)
 
 
-def _candidate_ends(csum, delta_t: float) -> list:
+def _candidate_ends(csum, delta_t: float, span: int) -> list:
     """Last index of each window, chased through the prefix sums.
 
     Window k ends at the first j with csum[j] > csum[start - 1] + delta_t;
-    an end of len(csum) marks a trailing run.  Prefix-sum differences
-    round differently from the window's own running sum, so an end is
-    only a candidate until _sequential_sums checks it.
+    an end of len(csum) marks a trailing run.  Each end is bisected in
+    [start, start + span) first, and only past it when every prefix sum
+    there is at most the target: bisection on a sub-range returns the
+    whole range's answer whenever that answer lies inside it.  Prefix-sum
+    differences round differently from the window's own running sum, so
+    an end is only a candidate until _sequential_sums checks it.
     """
     n = len(csum)
     ends, start, base = [], 0, 0.0
     while start < n:
-        end = bisect_right(csum, base + delta_t, start)
+        target, hi = base + delta_t, start + span
+        end = bisect_right(csum, target, start, hi if hi < n else n)
+        if end == hi:
+            end = bisect_right(csum, target, hi)
         ends.append(end)
         if end == n:
             break
@@ -141,19 +147,23 @@ def fit_comb(series: DurationSeries, delta_t: float) -> DeltaComb:
     counts / series.n sum to 1.
 
     Window ends are found by bisecting the series' prefix sums, one
-    bisection per window.  Every window is then checked with its own
-    sequential running sum, so counts and sums equal those of a scan
-    that adds the durations one by one, to the bit.  From the first
-    window whose check fails (its running sum and the prefix-sum
-    difference fall on opposite sides of delta_t) the scan itself takes
-    over.
+    bisection per window, first within a span of twice the expected
+    window length delta_t / mean (at least 16).  Every window is then
+    checked with its own sequential running sum, so counts and sums
+    equal those of a scan that adds the durations one by one, to the
+    bit.  From the first window whose check fails (its running sum and
+    the prefix-sum difference fall on opposite sides of delta_t) the
+    scan itself takes over.
     """
     if not (math.isfinite(delta_t) and delta_t > 0):
         raise ValueError(f"delta_t must be finite and > 0, got {delta_t}")
     delta_t = float(delta_t)
     values = series.values
-    # memoryview items are Python floats, which bisect compares fastest
-    ends = np.array(_candidate_ends(memoryview(series.prefix_sums), delta_t), dtype=int)
+    # memoryview items are Python floats; bisect compares a list's items
+    # faster, but a list costs 32 bytes a float (8 MB at n = 250k)
+    csum = memoryview(series.prefix_sums)
+    span = max(16, int(min(2 * delta_t / series.mean, values.size)))
+    ends = np.array(_candidate_ends(csum, delta_t, span), dtype=int)
     starts = np.concatenate(([0], ends[:-1] + 1))
     is_tail = ends == values.size
     window_counts = np.minimum(ends, values.size - 1) - starts + 1

@@ -132,8 +132,9 @@ def _parse_numbers(lines) -> np.ndarray:
     """The numbers _parse_lines yields, converted a chunk of lines at a time.
 
     A chunk whose first line is not str is refused with TypeError.  Each
-    chunk goes through float() in one pass, as raw lines (float()
-    strips what str.strip() strips, and refuses blank and '#' lines) or
+    chunk goes through float() in one pass, as raw lines after its
+    leading '#' and blank lines, such as a file's header (float()
+    strips what str.strip() strips, and refuses blank and '#' lines), or
     else as stripped data lines.  Only a chunk with a line that does not
     parse or is not finite is parsed again line by line, for its error.
     """
@@ -143,7 +144,10 @@ def _parse_numbers(lines) -> np.ndarray:
         if not isinstance(chunk[0], str):
             raise TypeError("source must be str or an iterable of str lines, "
                             f"not {type(chunk[0]).__name__} lines")
-        part = _floats(chunk)
+        head = 0
+        while head < len(chunk) and str.strip(chunk[head])[:1] in ("", "#"):
+            head += 1
+        part = _floats(chunk[head:] if head else chunk)
         if part is None:
             part = _floats([line for line in map(str.strip, chunk)
                             if line and not line.startswith("#")])

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectrakit import (DurationSeries, MlParams, assemble_kernel, comb_survival,
-                        empirical_survival, estimate_h, fit_comb, ks_pvalue,
-                        ml_survival, sweep_delta_t, sweep_mu)
-from spectrakit.delta_comb import (_CHUNK, _ULP_GAP, _ks_distance,
+                        empirical_survival, estimate_h, fit_comb, gen_mittag_leffler,
+                        ks_pvalue, ml_survival, sweep_delta_t, sweep_mu)
+from spectrakit.delta_comb import (_CHUNK, _ULP_GAP, _candidate_ends, _ks_distance,
                                    default_delta_t_grid, write_comb_csv,
                                    write_delta_t_sweep_csv)
 
@@ -180,6 +181,72 @@ def test_fit_comb_falls_back_to_the_scan(monkeypatch):
     resumed.clear()
     fit_comb(DurationSeries.from_values(np.ones(22)), 10.0)
     assert resumed == []
+
+
+def unbounded_ends(csum, delta_t):
+    """Reference chase: one bisection over all remaining prefix sums per window."""
+    ends, start, base = [], 0, 0.0
+    while start < len(csum):
+        end = bisect_right(csum, base + delta_t, start)
+        ends.append(end)
+        if end == len(csum):
+            break
+        base = csum[end]
+        start = end + 1
+    return ends
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 400), st.integers(0, 2**32 - 1), st.sampled_from(["pareto", "ml"]),
+       st.floats(0.3, 1.0), st.floats(-7.0, 0.5))
+def test_bounded_chase_equals_the_unbounded_one_on_heavy_tails(n, seed, law, shape,
+                                                               log_fraction):
+    # heavy tails put windows of many times the expected length delta_t/mean
+    # next to short ones, so ends fall inside, at and past the span; delta_t
+    # runs from below the smallest duration to above the total
+    if law == "pareto":
+        values = np.random.default_rng(seed).pareto(shape, n) + 1.0
+    else:
+        values = gen_mittag_leffler(MlParams(shape, 8.85), n, seed).values
+    delta_t = math.fsum(values) * 10.0 ** log_fraction
+    assert_matches_scan(values, delta_t)
+    csum = memoryview(np.cumsum(values))
+    expected = unbounded_ends(csum, delta_t)
+    for span in (1, 2, 16, n):
+        assert _candidate_ends(csum, delta_t, span) == expected
+
+
+@pytest.mark.parametrize("delta_t, first_end", [(15.0, 15), (16.0, 16), (17.0, 17)])
+def test_first_end_inside_at_and_past_the_span(delta_t, first_end):
+    # 20 ones before long durations: the mean is ~5,000, so the span is 16 and
+    # the first window ends before, exactly at, or after start + span
+    values = np.concatenate((np.ones(20), np.full(20, 1e4)))
+    assert max(16, int(2 * delta_t / values.mean())) == 16
+    csum = memoryview(np.cumsum(values))
+    ends = _candidate_ends(csum, delta_t, 16)
+    assert ends[0] == first_end
+    assert ends == unbounded_ends(csum, delta_t)
+    assert_matches_scan(values, delta_t)
+
+
+def test_ends_at_n_and_trailing_windows():
+    # start + span == n: the whole series is one trailing run
+    assert _candidate_ends(memoryview(np.cumsum(np.ones(16))), 100.0, 16) == [16]
+    assert_matches_scan(np.ones(16), 100.0)
+    # the last window closes on the last duration: no trailing run
+    assert _candidate_ends(memoryview(np.cumsum(np.ones(17))), 16.0, 16) == [16]
+    assert_matches_scan(np.ones(17), 16.0)
+    # three windows of six, then a trailing run of two
+    comb = fit_comb(DurationSeries.from_values(np.ones(20)), 5.5)
+    assert comb.window_counts.tolist() == [6, 6, 6, 2]
+    assert comb.window_sums.tolist() == [6.0, 6.0, 6.0, 2.0]
+
+
+def test_fit_comb_span_does_not_overflow():
+    # 2 * delta_t / mean is inf here; the span is clamped to n first
+    comb = fit_comb(DurationSeries.from_values([1e-300, 2e-300, 3e-300]), 1e308)
+    assert comb.m == 1
+    assert comb.window_counts.tolist() == [3]
 
 
 def test_fit_comb_rejects_bad_delta_t():

@@ -118,6 +118,54 @@ def test_fast_parse_equals_line_by_line_parse_under_unicode_space(rows, mode, ch
     assert fast == slow
 
 
+def _count_floats(mp):
+    calls = []
+    floats = durations._floats
+
+    def counting(strings):
+        calls.append(len(strings))
+        return floats(strings)
+
+    mp.setattr(durations, "_floats", counting)
+    return calls
+
+
+def test_header_only_input():
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_floats(mp)
+        assert durations._parse_numbers(["# header", "", "  # more"]).size == 0
+        assert calls == [0]
+        with pytest.raises(ValueError, match="no usable durations"):
+            load_durations("# header\n")
+
+
+def test_header_then_data_converts_in_one_pass():
+    # leading '#' and blank lines are skipped before the one float() pass;
+    # the stripped-line and line-by-line parses are never needed
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_floats(mp)
+        mp.setattr(durations, "_parse_lines", None)
+        s = load_durations("# header\n\n \t# n=3\n1\n 2.5 \n3\n")
+        assert s.values.tolist() == [1.0, 2.5, 3.0]
+        assert calls == [3]
+    # a '#' line after the data still takes the stripped-line pass
+    assert load_durations("# h\n1\n# mid\n2\n").values.tolist() == [1.0, 2.0]
+
+
+def test_header_longer_than_a_chunk(monkeypatch):
+    monkeypatch.setattr(durations, "_PARSE_CHUNK", 4)
+    header = "# header\n" + "# line\n" * 8 + "\n"
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_floats(mp)
+        s = load_durations(header + "1\n2\n3\n")
+        assert s.values.tolist() == [1.0, 2.0, 3.0]
+        assert calls == [0, 0, 2, 1]
+    with pytest.raises(ValueError, match=r"^line 12: cannot parse 'x' as a number$"):
+        load_durations(header + "1\nx\n3\n")
+    with pytest.raises(ValueError, match=r"^line 13: '1e400' is not a finite number$"):
+        load_durations(io.StringIO(header + "1\n2\n1e400\n"))
+
+
 def test_load_durations_empty_result():
     with pytest.raises(ValueError, match="no usable durations"):
         load_durations("-1\n0\n")
