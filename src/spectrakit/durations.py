@@ -116,45 +116,230 @@ def _parse_lines(lines, start: int = 1):
         yield value
 
 
-# lines held at once by _parse_numbers
-_PARSE_CHUNK = 16_384
+# characters of text read or sliced at once by _parse_numbers
+_PARSE_CHUNK = 1 << 18
+
+# lines of an iterable of lines joined at once by _parse_numbers
+_PARSE_LINES = 16_384
+
+# the significand bits _exact may use from np.longdouble: 64 where it is the
+# x87 80-bit type in 16 bytes (x86-64), whose first 8 bytes are the
+# significand; 53, none beyond a double, anywhere else
+_LD_BITS = 64 if (np.finfo(np.longdouble).nmant, np.dtype(np.longdouble).itemsize) == (
+    63, 16) else 53
+
+# the most digits of a line converted in numpy; as many '0' bytes go before
+# each piece, so that the three 8-byte words before any line end are in it
+_PAD = 24
+
+# 10**q, exact as a double for q <= 22 and as a 64-bit longdouble for q < 28
+_POW10 = 10.0 ** np.arange(_PAD)
+_POW10_LD = (np.array([5 ** q for q in range(_PAD)], np.uint64).astype(np.longdouble)
+             * 2.0 ** np.arange(_PAD))
+# 10**min(q, 19), and 10**(19 - q) (1 from q = 19 on): an integer part below
+# it keeps the mantissa of a line with q decimals under 10**19
+_SCALE = np.array([10 ** min(q, 19) for q in range(_PAD)], np.uint64)
+_LIMIT = np.array([10 ** max(19 - q, 0) for q in range(_PAD)], np.uint64)
+
+# _MASKS[k]: the digit nibbles of the last k bytes of a little-endian 8-byte word
+_MASKS = np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - k) << 8 * (8 - k) for k in range(9)],
+                  np.uint64)
+
+# bytes that end a line in str.splitlines() besides '\n'; '?' stands for any
+# non-ASCII character (\x85, \u2028 and \u2029 among them)
+_BREAKS = np.frombuffer(b"\r\x0b\x0c\x1c\x1d\x1e?", np.uint8)
 
 
-def _floats(strings) -> np.ndarray | None:
-    """float() of every string as an array, or None if one does not parse."""
-    try:
-        return np.fromiter(map(float, strings), dtype=float, count=len(strings))
-    except ValueError:
-        return None
+def _type_error(line) -> TypeError:
+    return TypeError("source must be str or an iterable of str lines, "
+                     f"not {type(line).__name__} lines")
+
+
+class _StrLines:
+    """A str as the iterable of its str.splitlines() lines, split a piece at a time."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def pieces(self):
+        text = self.text
+        return _pieces(text[i:i + _PARSE_CHUNK] for i in range(0, len(text), _PARSE_CHUNK))
+
+    def __iter__(self):
+        for piece in self.pieces():
+            yield from piece.splitlines()
+
+
+def _reads(stream):
+    # _PARSE_CHUNK characters at a time from a text stream
+    while chunk := stream.read(_PARSE_CHUNK):
+        if not isinstance(chunk, str):
+            raise _type_error(chunk)
+        yield chunk
+
+
+def _pieces(chunks):
+    """The text of the chunks, cut after the last '\n' of each chunk that has one."""
+    head = []
+    for chunk in chunks:
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield "".join([*head, chunk[:cut]])
+            head = []
+        head.append(chunk[cut:])
+    if tail := "".join(head):
+        yield tail
+
+
+def _joined(lines):
+    """Pieces of '\n'-joined str lines, _PARSE_LINES lines at a time.
+
+    A trailing '\n' comes off every line first if some line has one.  A chunk
+    in which a line still holds a '\n' stays a list, to be read line by line.
+    """
+    lines = iter(lines)
+    while chunk := list(islice(lines, _PARSE_LINES)):
+        if set(map(type, chunk)) - {str}:
+            for line in chunk:
+                if not isinstance(line, str):
+                    raise _type_error(line)
+        text = "\n".join(chunk)
+        if text.count("\n") >= len(chunk):
+            text = "\n".join([line.removesuffix("\n") for line in chunk])
+        yield chunk if text.count("\n") >= len(chunk) else text
+
+
+def _number(words, end, size):
+    """The uint64 number each run of size <= 24 digits ending at byte end spells,
+    read 8 digits a time from the unaligned uint64 view ``words``."""
+    k8 = np.arange(8, 8 * -(-size.max(initial=0) // 8) + 1, 8)[:, None]
+    w = words[end - k8]
+    w &= _MASKS[np.clip(size + 8 - k8, 0, 8)]  # the digit nibbles of the run's bytes
+    w *= 2561                               # 10 * 2**8 + 1: 2 digits in each 16 bits
+    w >>= 8
+    w &= 0x00FF00FF00FF00FF
+    w *= 6553601                            # 100 * 2**16 + 1: 4 digits in each 32 bits
+    w >>= 16
+    w &= 0x0000FFFF0000FFFF
+    w *= 42949672960001                     # 10**4 * 2**32 + 1
+    w >>= 32
+    long = len(w) == 3 and w[2] >= 1000     # 10**19 or more
+    n = w[-1] if len(w) else np.zeros(size.size, np.uint64)
+    for row in w[-2::-1]:
+        n *= 10 ** 8
+        n += row
+    return n, long
+
+
+def _exact(m, q, digits, long):
+    """m / 10**q rounded once to the nearest double, for uint64 m and q < 24.
+
+    The quotient is exact by construction where m <= 2**53 and q <= 22
+    (Clinger), and is otherwise a 64-bit longdouble quotient rounded once
+    more.  That second rounding is wrong only from a double midpoint, where
+    the 64-bit significand ends in a 1 and ten 0s, above or below a power of
+    two alike.  Those quotients, every other one where longdouble is not the
+    64-bit type, and the ``long`` ones go to float(digits(i)) by index.
+    """
+    v = m.astype(float)
+    v /= _POW10[q]
+    hard = np.flatnonzero((m > 2 ** 53) | (q > 22) | long)
+    if hard.size and _LD_BITS == 64:
+        x = m[hard].astype(np.longdouble) / _POW10_LD[q[hard]]
+        v[hard] = x
+        tie = (x.view(np.uint64)[::2] & 0x7FF) == 0x400
+        hard = hard[tie | long[hard]]
+    v[hard] = [float(digits(i)) for i in hard.tolist()]
+    return v
+
+
+def _parse_piece(piece: str, start: int, split: bool):
+    """The numbers _parse_lines yields for the lines of a piece, and its line count.
+
+    Lines are split at '\n'.  Blank lines, and '#' lines that no other
+    str.splitlines() break could split, are skipped.  Every line of the
+    form [0-9]+(\\.[0-9]+)? of at most 24 digits is converted in numpy: an
+    integer part I and q decimals F, each packed from its digits 8 at a
+    time, give the mantissa I * 10**q + F that _exact divides, or sends to
+    float() from 10**19 on.  Every other line goes through _parse_lines on its
+    own, after str.splitlines() if ``split``, so it parses or fails as it
+    would there; ``start`` is the number of the piece's first line.
+    """
+    raw = piece.encode("ascii", "replace")  # one byte per character
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    b = np.frombuffer(b"0" * _PAD + raw, np.uint8)
+    nd = np.flatnonzero((b < 48) | (b > 57))  # every byte but the digits
+    c = b[nd]
+    nl = np.flatnonzero(c == 10)
+    ends = nd[nl]
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = _PAD, ends[:-1] + 1
+    # each line's non-digits before its end: none, its '.', or more
+    others = np.diff(nl, prepend=-1) - 1
+    has = (others == 1) & (c[nl - 1] == ord("."))
+    p = np.where(has, nd[nl - 1], ends)
+    q = ends - p - has
+    odd = (others > has) | (p == starts) & has | (q == 0) & has
+    odd |= ends - starts - has > _PAD
+    plain = ~odd & (ends > starts)
+    if odd.any():
+        hashed = odd & (b[starts] == ord("#"))
+        if hashed.any():
+            breaks = np.zeros(ends.size, bool)
+            breaks[np.searchsorted(ends, nd[np.isin(c, _BREAKS)])] = True
+            odd &= ~hashed | breaks
+
+    words = np.ndarray((b.size - 7,), "<u8", b, strides=(1,))
+    s, p, e, q = starts[plain], p[plain], ends[plain], q[plain]
+    i, long_i = _number(words, p, p - s)
+    f, long_f = _number(words, e, q)
+    long = long_i | long_f | (i >= _LIMIT[q])
+    i *= _SCALE[q]
+    i += f
+    values = _exact(i, q, lambda k: raw[s[k] - _PAD:e[k] - _PAD], long)
+    if not odd.any():
+        return values, ends.size
+
+    counts = plain.astype(np.intp)
+    extra, shift = {}, 0
+    for k in np.flatnonzero(odd).tolist():
+        text = piece[starts[k] - _PAD:ends[k] - _PAD]
+        lines = (text + "\n").splitlines() if split else [text]
+        extra[k] = list(_parse_lines(lines, start + k + shift))
+        counts[k] = len(extra[k])
+        shift += len(lines) - 1
+    at = np.cumsum(counts) - counts
+    out = np.empty(at[-1] + counts[-1])
+    out[at[plain]] = values
+    for k, got in extra.items():
+        out[at[k]:at[k] + len(got)] = got
+    return out, ends.size + shift
 
 
 def _parse_numbers(lines) -> np.ndarray:
-    """The numbers _parse_lines yields, converted a chunk of lines at a time.
+    """The numbers _parse_lines yields, converted a piece of text at a time.
 
-    A chunk whose first line is not str is refused with TypeError.  Each
-    chunk goes through float() in one pass, as raw lines after its
-    leading '#' and blank lines, such as a file's header (float()
-    strips what str.strip() strips, and refuses blank and '#' lines), or
-    else as stripped data lines.  Only a chunk with a line that does not
-    parse or is not finite is parsed again line by line, for its error.
+    ``lines`` is a _StrLines, a text stream (read _PARSE_CHUNK characters at
+    a time) or an iterable of str lines (joined _PARSE_LINES at a time); a
+    line that is not str is refused with TypeError.  Each piece goes through
+    _parse_piece, which splits a _StrLines piece's lines as str.splitlines()
+    does and the others' at '\n' only, as iterating a text stream does.
     """
-    lines = iter(lines)
+    if isinstance(lines, _StrLines):
+        pieces, split = lines.pieces(), True
+    elif hasattr(lines, "read"):
+        pieces, split = _pieces(_reads(lines)), False
+    else:
+        pieces, split = _joined(lines), False
     parts, start = [], 1
-    while chunk := list(islice(lines, _PARSE_CHUNK)):
-        if not isinstance(chunk[0], str):
-            raise TypeError("source must be str or an iterable of str lines, "
-                            f"not {type(chunk[0]).__name__} lines")
-        head = 0
-        while head < len(chunk) and str.strip(chunk[head])[:1] in ("", "#"):
-            head += 1
-        part = _floats(chunk[head:] if head else chunk)
-        if part is None:
-            part = _floats([line for line in map(str.strip, chunk)
-                            if line and not line.startswith("#")])
-        if part is None or not np.isfinite(part).all():
-            part = np.fromiter(_parse_lines(chunk, start), dtype=float)
+    for piece in pieces:
+        if isinstance(piece, list):
+            part, count = np.fromiter(_parse_lines(piece, start), dtype=float), len(piece)
+        else:
+            part, count = _parse_piece(piece, start, split)
         parts.append(part)
-        start += len(chunk)
+        start += count
     return np.concatenate(parts) if parts else np.empty(0)
 
 
@@ -164,10 +349,12 @@ def load_durations(source, mode: str = "durations",
 
     Parameters
     ----------
-    source : str or iterable of str lines
-        Text with one number per line; '#' lines are comments.  A bytes
-        source, or bytes lines (a file opened in binary mode), are refused
-        with TypeError.
+    source : str, text stream or iterable of str lines
+        Text with one number per line; '#' lines are comments.  A str
+        splits into lines as str.splitlines() does; a stream (anything
+        with a ``read`` method, such as an open text file) is read in
+        pieces and splits at '\n'.  A bytes source, or bytes lines (a
+        file opened in binary mode), are refused with TypeError.
     mode : {'durations', 'timestamps'}
         'durations' takes the numbers as waiting times; 'timestamps'
         takes successive differences of non-decreasing event times.
@@ -184,7 +371,7 @@ def load_durations(source, mode: str = "durations",
         raise ValueError(f"unknown mode {mode!r}")
     if isinstance(source, (bytes, bytearray)):
         raise TypeError("source must be str or an iterable of str lines, not bytes")
-    numbers = _parse_numbers(source.splitlines() if isinstance(source, str) else source)
+    numbers = _parse_numbers(_StrLines(source) if isinstance(source, str) else source)
     if mode == "timestamps":
         with np.errstate(over="ignore"):  # from_values refuses an inf difference
             numbers = np.diff(numbers) if numbers.size > 1 else np.empty(0)

@@ -118,48 +118,50 @@ def test_fast_parse_equals_line_by_line_parse_under_unicode_space(rows, mode, ch
     assert fast == slow
 
 
-def _count_floats(mp):
+def _lines_to_float(mp):
+    # the lines that go through _parse_lines (float() one line at a time)
     calls = []
-    floats = durations._floats
+    parse_lines = durations._parse_lines
 
-    def counting(strings):
-        calls.append(len(strings))
-        return floats(strings)
+    def recording(lines, start=1):
+        calls.append(list(lines))
+        return parse_lines(calls[-1], start)
 
-    mp.setattr(durations, "_floats", counting)
+    mp.setattr(durations, "_parse_lines", recording)
     return calls
 
 
 def test_header_only_input():
     with pytest.MonkeyPatch.context() as mp:
-        calls = _count_floats(mp)
+        calls = _lines_to_float(mp)
         assert durations._parse_numbers(["# header", "", "  # more"]).size == 0
-        assert calls == [0]
+        assert calls == [["  # more"]]
         with pytest.raises(ValueError, match="no usable durations"):
             load_durations("# header\n")
+        assert calls == [["  # more"]]
 
 
 def test_header_then_data_converts_in_one_pass():
-    # leading '#' and blank lines are skipped before the one float() pass;
-    # the stripped-line and line-by-line parses are never needed
+    # '#' and blank lines are skipped in numpy; only the lines with spaces
+    # around their text go to float() one at a time
     with pytest.MonkeyPatch.context() as mp:
-        calls = _count_floats(mp)
-        mp.setattr(durations, "_parse_lines", None)
+        calls = _lines_to_float(mp)
         s = load_durations("# header\n\n \t# n=3\n1\n 2.5 \n3\n")
         assert s.values.tolist() == [1.0, 2.5, 3.0]
-        assert calls == [3]
-    # a '#' line after the data still takes the stripped-line pass
-    assert load_durations("# h\n1\n# mid\n2\n").values.tolist() == [1.0, 2.0]
+        assert calls == [[" \t# n=3"], [" 2.5 "]]
+        # a '#' line after the data is skipped in numpy as well
+        assert load_durations("# h\n1\n# mid\n2\n").values.tolist() == [1.0, 2.0]
+        assert calls == [[" \t# n=3"], [" 2.5 "]]
 
 
 def test_header_longer_than_a_chunk(monkeypatch):
     monkeypatch.setattr(durations, "_PARSE_CHUNK", 4)
     header = "# header\n" + "# line\n" * 8 + "\n"
     with pytest.MonkeyPatch.context() as mp:
-        calls = _count_floats(mp)
+        calls = _lines_to_float(mp)
         s = load_durations(header + "1\n2\n3\n")
         assert s.values.tolist() == [1.0, 2.0, 3.0]
-        assert calls == [0, 0, 2, 1]
+        assert calls == []
     with pytest.raises(ValueError, match=r"^line 12: cannot parse 'x' as a number$"):
         load_durations(header + "1\nx\n3\n")
     with pytest.raises(ValueError, match=r"^line 13: '1e400' is not a finite number$"):
