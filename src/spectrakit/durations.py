@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import compress, islice
 
 import numpy as np
 
@@ -149,6 +149,11 @@ _MASKS = np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - k) << 8 * (8 - k) for k in ran
 # non-ASCII character (\x85, \u2028 and \u2029 among them)
 _BREAKS = np.frombuffer(b"\r\x0b\x0c\x1c\x1d\x1e?", np.uint8)
 
+# a lone '\r' also ends a line of a stream that reports the newlines it has
+# read, as one opened with newline="" does (with the default newline=None,
+# its text holds no '\r')
+_CR = np.frombuffer(b"\r", np.uint8)
+
 
 def _type_error(line) -> TypeError:
     return TypeError("source must be str or an iterable of str lines, "
@@ -156,33 +161,30 @@ def _type_error(line) -> TypeError:
 
 
 class _StrLines:
-    """A str as the iterable of its str.splitlines() lines, split a piece at a time."""
+    """A str source, read a piece at a time as a stream is."""
 
     def __init__(self, text: str):
         self.text = text
 
     def pieces(self):
         text = self.text
-        return _pieces(text[i:i + _PARSE_CHUNK] for i in range(0, len(text), _PARSE_CHUNK))
+        for piece in _pieces(text[i:i + _PARSE_CHUNK]
+                             for i in range(0, len(text), _PARSE_CHUNK)):
+            yield piece, _BREAKS
 
-    def __iter__(self):
-        for piece in self.pieces():
-            yield from piece.splitlines()
-
-
-def _reads(stream):
-    # _PARSE_CHUNK characters at a time from a text stream
-    while chunk := stream.read(_PARSE_CHUNK):
-        if not isinstance(chunk, str):
-            raise _type_error(chunk)
-        yield chunk
+    def __iter__(self):  # its lines, for _parse_lines
+        return iter(self.text.splitlines())
 
 
-def _pieces(chunks):
-    """The text of the chunks, cut after the last '\n' of each chunk that has one."""
+def _pieces(chunks, cr=lambda: False):
+    """The text of the chunks, cut after the last '\n' of each chunk that has one;
+    where ``cr()`` holds once a chunk is read, after a later '\r' that does not
+    end the chunk (and so is no '\r\n' cut in two)."""
     head = []
     for chunk in chunks:
         cut = chunk.rfind("\n") + 1
+        if cr():
+            cut = max(cut, chunk.rfind("\r", 0, -1) + 1)
         if cut:
             yield "".join([*head, chunk[:cut]])
             head = []
@@ -191,8 +193,23 @@ def _pieces(chunks):
         yield tail
 
 
+def _stream_pieces(stream):
+    # _PARSE_CHUNK characters at a time from a text stream, cut into pieces
+    def reads():
+        while chunk := stream.read(_PARSE_CHUNK):
+            if not isinstance(chunk, str):
+                raise _type_error(chunk)
+            yield chunk
+
+    def cr():
+        return getattr(stream, "newlines", None) is not None
+
+    for piece in _pieces(reads(), cr):
+        yield piece, _CR if cr() else None
+
+
 def _joined(lines):
-    """Pieces of '\n'-joined str lines, _PARSE_LINES lines at a time.
+    """Pieces of str lines, each ended by '\n', _PARSE_LINES lines at a time.
 
     A trailing '\n' comes off every line first if some line has one.  A chunk
     in which a line still holds a '\n' stays a list, to be read line by line.
@@ -203,10 +220,10 @@ def _joined(lines):
             for line in chunk:
                 if not isinstance(line, str):
                     raise _type_error(line)
-        text = "\n".join(chunk)
-        if text.count("\n") >= len(chunk):
-            text = "\n".join([line.removesuffix("\n") for line in chunk])
-        yield chunk if text.count("\n") >= len(chunk) else text
+        text = "\n".join(chunk) + "\n"
+        if text.count("\n") > len(chunk):
+            text = "\n".join([line.removesuffix("\n") for line in chunk]) + "\n"
+        yield chunk if text.count("\n") > len(chunk) else text, None
 
 
 def _number(words, end, size):
@@ -231,15 +248,16 @@ def _number(words, end, size):
     return n, long
 
 
-def _exact(m, q, digits, long):
-    """m / 10**q rounded once to the nearest double, for uint64 m and q < 24.
+def _exact(m, q, long):
+    """m / 10**q rounded once to the nearest double, for uint64 m and q < 24,
+    and the indices of the quotients that float() must give instead.
 
     The quotient is exact by construction where m <= 2**53 and q <= 22
     (Clinger), and is otherwise a 64-bit longdouble quotient rounded once
     more.  That second rounding is wrong only from a double midpoint, where
     the 64-bit significand ends in a 1 and ten 0s, above or below a power of
     two alike.  Those quotients, every other one where longdouble is not the
-    64-bit type, and the ``long`` ones go to float(digits(i)) by index.
+    64-bit type, and the ``long`` ones are the indices returned.
     """
     v = m.astype(float)
     v /= _POW10[q]
@@ -249,21 +267,40 @@ def _exact(m, q, digits, long):
         v[hard] = x
         tie = (x.view(np.uint64)[::2] & 0x7FF) == 0x400
         hard = hard[tie | long[hard]]
-    v[hard] = [float(digits(i)) for i in hard.tolist()]
-    return v
+    return v, hard
 
 
-def _parse_piece(piece: str, start: int, split: bool):
-    """The numbers _parse_lines yields for the lines of a piece, and its line count.
+def _floats(texts):
+    """float() of the data lines among the texts in one pass, as the raw texts
+    (float() strips what str.strip() strips) or else as stripped lines without
+    blank and '#' ones, with a mask of the data lines (None for all); None if a
+    data line does not parse or is not finite."""
+    try:
+        values, keep = np.fromiter(map(float, texts), float, len(texts)), None
+    except ValueError:
+        lines = list(map(str.strip, texts))
+        keep = np.array([line[:1] not in ("", "#") for line in lines], bool)
+        try:
+            values = np.fromiter(map(float, compress(lines, keep)), float)
+        except ValueError:
+            return None
+    return (values, keep) if np.isfinite(values).all() else None
 
-    Lines are split at '\n'.  Blank lines, and '#' lines that no other
-    str.splitlines() break could split, are skipped.  Every line of the
-    form [0-9]+(\\.[0-9]+)? of at most 24 digits is converted in numpy: an
-    integer part I and q decimals F, each packed from its digits 8 at a
-    time, give the mantissa I * 10**q + F that _exact divides, or sends to
-    float() from 10**19 on.  Every other line goes through _parse_lines on its
-    own, after str.splitlines() if ``split``, so it parses or fails as it
-    would there; ``start`` is the number of the piece's first line.
+
+def _parse_piece(piece: str, start: int, split):
+    """The numbers _parse_lines yields for the lines of a piece, its line count,
+    and whether more than a third of its lines went to float().
+
+    Lines are split at '\n', and blank and '#' lines are skipped.  Every line
+    of the form [0-9]+(\\.[0-9]+)? of at most 24 digits is converted in numpy:
+    an integer part I and q decimals F, each packed from its digits 8 at a
+    time, give the mantissa I * 10**q + F that _exact divides.  The lines
+    whose quotient _exact leaves to float(), and the piece's other lines,
+    take one _floats pass.  A piece goes through _float_piece whole if one of
+    those lines fails it, or if it holds a byte of ``split`` (None, or the
+    bytes at which its source may end a line besides '\n': _BREAKS for a
+    str, which splits as str.splitlines() does, _CR for a stream that
+    splits at a lone '\r'); ``start`` is the number of its first line.
     """
     raw = piece.encode("ascii", "replace")  # one byte per character
     if not raw.endswith(b"\n"):
@@ -284,37 +321,65 @@ def _parse_piece(piece: str, start: int, split: bool):
     odd |= ends - starts - has > _PAD
     plain = ~odd & (ends > starts)
     if odd.any():
-        hashed = odd & (b[starts] == ord("#"))
-        if hashed.any():
-            breaks = np.zeros(ends.size, bool)
-            breaks[np.searchsorted(ends, nd[np.isin(c, _BREAKS)])] = True
-            odd &= ~hashed | breaks
+        odd &= b[starts] != ord("#")
+        if split is not None and np.isin(c, split).any():  # a line may split further
+            return (*_float_piece(piece, start, split), odd.sum() * 3 > ends.size)
 
     words = np.ndarray((b.size - 7,), "<u8", b, strides=(1,))
-    s, p, e, q = starts[plain], p[plain], ends[plain], q[plain]
-    i, long_i = _number(words, p, p - s)
-    f, long_f = _number(words, e, q)
+    p, q = p[plain], q[plain]
+    i, long_i = _number(words, p, p - starts[plain])
+    f, long_f = _number(words, ends[plain], q)
     long = long_i | long_f | (i >= _LIMIT[q])
     i *= _SCALE[q]
     i += f
-    values = _exact(i, q, lambda k: raw[s[k] - _PAD:e[k] - _PAD], long)
+    values, hard = _exact(i, q, long)
+    if hard.size:  # to float() with the other lines
+        k = np.flatnonzero(plain)[hard]
+        plain[k], odd[k] = False, True
+        values = np.delete(values, hard)
     if not odd.any():
-        return values, ends.size
+        return values, ends.size, False
 
-    counts = plain.astype(np.intp)
-    extra, shift = {}, 0
-    for k in np.flatnonzero(odd).tolist():
-        text = piece[starts[k] - _PAD:ends[k] - _PAD]
-        lines = (text + "\n").splitlines() if split else [text]
-        extra[k] = list(_parse_lines(lines, start + k + shift))
-        counts[k] = len(extra[k])
-        shift += len(lines) - 1
-    at = np.cumsum(counts) - counts
-    out = np.empty(at[-1] + counts[-1])
-    out[at[plain]] = values
-    for k, got in extra.items():
-        out[at[k]:at[k] + len(got)] = got
-    return out, ends.size + shift
+    ks = np.flatnonzero(odd)
+    if ks.size * 3 < ends.size:  # few: slice them out
+        texts = [piece[i:j] for i, j in zip((starts[ks] - _PAD).tolist(),
+                                            (ends[ks] - _PAD).tolist())]
+    else:
+        texts = piece.split("\n")
+        del texts[ends.size:]  # the '' after a last '\n'
+        if ks.size < ends.size:
+            texts = [texts[k] for k in ks.tolist()]
+    got = _floats(texts)
+    if got is None:  # a line that fails: line by line, for its error
+        return (*_float_piece(piece, start, split), True)
+    out = np.empty(ends.size)
+    out[plain] = values
+    if got[1] is not None:
+        odd[ks[~got[1]]] = False
+    out[odd] = got[0]
+    return out[plain | odd], ends.size, ks.size * 3 > ends.size
+
+
+def _lines(piece: str, split) -> list:
+    # the lines of a piece as its source splits them (see _parse_piece)
+    if split is _BREAKS:
+        return piece.splitlines()
+    if split is _CR and "\r" in piece:
+        piece = piece.replace("\r\n", "\n").replace("\r", "\n")
+    lines = piece.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _float_piece(piece: str, start: int, split):
+    """The numbers _parse_lines yields for the lines of a piece, from one _floats
+    pass, or else line by line for the error, and the piece's line count."""
+    lines = _lines(piece, split)
+    got = _floats(lines)
+    if got is None:
+        return np.fromiter(_parse_lines(lines, start), dtype=float), len(lines)
+    return got[0], len(lines)
 
 
 def _parse_numbers(lines) -> np.ndarray:
@@ -324,20 +389,22 @@ def _parse_numbers(lines) -> np.ndarray:
     a time) or an iterable of str lines (joined _PARSE_LINES at a time); a
     line that is not str is refused with TypeError.  Each piece goes through
     _parse_piece, which splits a _StrLines piece's lines as str.splitlines()
-    does and the others' at '\n' only, as iterating a text stream does.
+    does, a stream's as iterating the stream does, and the others' at '\n'.
     """
     if isinstance(lines, _StrLines):
-        pieces, split = lines.pieces(), True
+        pieces = lines.pieces()
     elif hasattr(lines, "read"):
-        pieces, split = _pieces(_reads(lines)), False
+        pieces = _stream_pieces(lines)
     else:
-        pieces, split = _joined(lines), False
-    parts, start = [], 1
-    for piece in pieces:
+        pieces = _joined(lines)
+    parts, start, floats = [], 1, False
+    for piece, split in pieces:
         if isinstance(piece, list):
             part, count = np.fromiter(_parse_lines(piece, start), dtype=float), len(piece)
+        elif floats:  # over a third of the last piece's lines went to float()
+            part, count = _float_piece(piece, start, split)
         else:
-            part, count = _parse_piece(piece, start, split)
+            part, count, floats = _parse_piece(piece, start, split)
         parts.append(part)
         start += count
     return np.concatenate(parts) if parts else np.empty(0)
@@ -353,8 +420,10 @@ def load_durations(source, mode: str = "durations",
         Text with one number per line; '#' lines are comments.  A str
         splits into lines as str.splitlines() does; a stream (anything
         with a ``read`` method, such as an open text file) is read in
-        pieces and splits at '\n'.  A bytes source, or bytes lines (a
-        file opened in binary mode), are refused with TypeError.
+        pieces and splits at '\n', and at a lone '\r' too once its
+        ``newlines`` attribute is set (a file opened with newline="").
+        A bytes source, or bytes lines (a file opened in binary mode),
+        are refused with TypeError.
     mode : {'durations', 'timestamps'}
         'durations' takes the numbers as waiting times; 'timestamps'
         takes successive differences of non-decreasing event times.

@@ -118,47 +118,47 @@ def test_fast_parse_equals_line_by_line_parse_under_unicode_space(rows, mode, ch
     assert fast == slow
 
 
-def _lines_to_float(mp):
-    # the lines that go through _parse_lines (float() one line at a time)
+def _count_floats(mp):
     calls = []
-    parse_lines = durations._parse_lines
+    floats = durations._floats
 
-    def recording(lines, start=1):
-        calls.append(list(lines))
-        return parse_lines(calls[-1], start)
+    def counting(strings):
+        calls.append(len(strings))
+        return floats(strings)
 
-    mp.setattr(durations, "_parse_lines", recording)
+    mp.setattr(durations, "_floats", counting)
     return calls
 
 
 def test_header_only_input():
     with pytest.MonkeyPatch.context() as mp:
-        calls = _lines_to_float(mp)
+        calls = _count_floats(mp)
         assert durations._parse_numbers(["# header", "", "  # more"]).size == 0
-        assert calls == [["  # more"]]
+        assert calls == [1]
         with pytest.raises(ValueError, match="no usable durations"):
             load_durations("# header\n")
-        assert calls == [["  # more"]]
+        assert calls == [1]
 
 
 def test_header_then_data_converts_in_one_pass():
-    # '#' and blank lines are skipped in numpy; only the lines with spaces
-    # around their text go to float() one at a time
+    # '#' and blank lines are skipped in numpy; the lines with spaces around
+    # their text take one float() pass; the line-by-line parse is never needed
     with pytest.MonkeyPatch.context() as mp:
-        calls = _lines_to_float(mp)
+        calls = _count_floats(mp)
+        mp.setattr(durations, "_parse_lines", None)
         s = load_durations("# header\n\n \t# n=3\n1\n 2.5 \n3\n")
         assert s.values.tolist() == [1.0, 2.5, 3.0]
-        assert calls == [[" \t# n=3"], [" 2.5 "]]
+        assert calls == [2]
         # a '#' line after the data is skipped in numpy as well
         assert load_durations("# h\n1\n# mid\n2\n").values.tolist() == [1.0, 2.0]
-        assert calls == [[" \t# n=3"], [" 2.5 "]]
+        assert calls == [2]
 
 
 def test_header_longer_than_a_chunk(monkeypatch):
     monkeypatch.setattr(durations, "_PARSE_CHUNK", 4)
     header = "# header\n" + "# line\n" * 8 + "\n"
     with pytest.MonkeyPatch.context() as mp:
-        calls = _lines_to_float(mp)
+        calls = _count_floats(mp)
         s = load_durations(header + "1\n2\n3\n")
         assert s.values.tolist() == [1.0, 2.0, 3.0]
         assert calls == []

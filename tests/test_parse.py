@@ -119,12 +119,14 @@ def test_midpoints_reach_the_tie_fallback(monkeypatch):
     fallen = []
     exact = durations._exact
 
-    def recording(m, q, digits, long):
-        return exact(m, q, lambda i: fallen.append(digits(i)) or digits(i), long)
+    def recording(m, q, long):
+        v, hard = exact(m, q, long)
+        fallen.extend(~long[hard])
+        return v, hard
 
     monkeypatch.setattr(durations, "_exact", recording)
     durations._parse_numbers(durations._StrLines("\n".join(_midpoint_renderings(5))))
-    assert sum(len(x) <= 20 for x in fallen) >= 5
+    assert sum(fallen) >= 5
 
 
 def _child():
@@ -179,6 +181,132 @@ def test_line_numbers_count_splitlines_breaks_and_cut_pieces(monkeypatch):
         assert load_durations(text).values.tolist() == [1.5, 2.0, 3.0]
         assert load_durations(io.StringIO(text)).values.tolist() == [2.0, 3.0]
         assert load_durations("1\n2").values.tolist() == [1.0, 2.0]
+
+
+def _numbers_or_error(parse, source):
+    try:
+        return _bits(parse(source))
+    except ValueError as exc:
+        return str(exc)
+
+
+def _line_by_line(lines):
+    return np.fromiter(durations._parse_lines(lines), dtype=float)
+
+
+# plain and other data lines, '#' and blank lines, and lines that fail
+_LINES = ["1", "2.5", "007.50", "1e-05", " 3 ", "+4", "# c", "  # c", "", " ", "\t",
+          "x", "1e400", "nan", "1.", ".5"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_LINES), st.booleans()), max_size=20),
+       st.sampled_from([1, 2, 3, 4, 16_384]))
+@example([("1", False)] * 3 + [("", False), ("x", False)], 4)
+@example([("1", True)] * 3 + [("", True), ("x", True)], 4)
+def test_lines_of_an_iterable_keep_their_numbers(rows, per_chunk):
+    # chunks of lines, some ended by '\n' as readlines() gives them, parse as
+    # the lines one by one do, with the same 'line N: ...' error
+    lines = [line + "\n" if ended else line for line, ended in rows]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(durations, "_PARSE_LINES", per_chunk)
+        want = _numbers_or_error(_line_by_line, lines)
+        assert _numbers_or_error(durations._parse_numbers, lines) == want
+        assert _numbers_or_error(durations._parse_numbers, iter(lines)) == want
+
+
+def test_an_empty_last_line_of_a_chunk_counts():
+    lines = ["1"] * (durations._PARSE_LINES - 1) + ["", "x"]
+    for source in (lines, [line + "\n" for line in lines]):
+        with pytest.raises(ValueError, match=r"^line 16385: cannot parse 'x' as a number$"):
+            load_durations(source)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_LINES), st.sampled_from(["\n", "\r", "\r\n"])),
+                max_size=20),
+       st.sampled_from([None, "", "\n"]), st.sampled_from([1, 2, 3, 7, durations._PARSE_CHUNK]))
+@example([("1", "\r"), ("2.5", "\r"), ("x", "\r")], "", 7)
+def test_streams_split_lines_as_iterating_them_does(rows, newline, chunk):
+    # newline=None turns '\r' and '\r\n' into '\n', newline="" ends a line at
+    # each of them as well, newline="\n" at '\n' only
+    text = "".join(line + end for line, end in rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(durations, "_PARSE_CHUNK", chunk)
+        want = _numbers_or_error(_line_by_line, io.StringIO(text, newline=newline))
+        got = _numbers_or_error(durations._parse_numbers, io.StringIO(text, newline=newline))
+    assert got == want
+
+
+def test_a_file_of_lone_carriage_returns(tmp_path, monkeypatch):
+    path = tmp_path / "cr.txt"
+    path.write_bytes(b"# h\r1\r2.5\r\r3e0\r")
+    for chunk in (2, 5, durations._PARSE_CHUNK):
+        monkeypatch.setattr(durations, "_PARSE_CHUNK", chunk)
+        for newline in (None, ""):
+            with open(path, newline=newline) as fh:
+                assert load_durations(fh).values.tolist() == [1.0, 2.5, 3.0]
+        with open(path, "ab") as fh:
+            fh.write(b"x\r")
+        with open(path, newline="") as fh:
+            with pytest.raises(ValueError, match=r"^line 6: cannot parse 'x' as a number$"):
+                load_durations(fh)
+        path.write_bytes(b"# h\r1\r2.5\r\r3e0\r")
+    # a stream that keeps '\r' in its lines (newline="\n") does not split there
+    with pytest.raises(ValueError, match=r"^line 1: cannot parse '1\\r2' as a number$"):
+        load_durations(io.StringIO("1\r2\n"))
+    # newline="\r" ends lines at '\r' only when iterated, but is read at '\n' too
+    path.write_bytes(b"1\n2\n")
+    with open(path, newline="\r") as fh:
+        assert load_durations(fh).values.tolist() == [1.0, 2.0]
+
+
+def _other(v, i):
+    # the lines np.savetxt, a signed and a padded writer give
+    return ["%.18e" % v, "+%r" % v, " %r " % v][i % 3]
+
+
+@pytest.mark.parametrize("share", [0, 1, 2, 3, 4])
+def test_other_lines_take_one_float_pass_per_piece(monkeypatch, share):
+    # pieces of exponent, signed or padded lines (a quarter of them up to all)
+    # go through _floats once each, never line by line, and still count lines
+    rng = np.random.default_rng(share)
+    values = rng.exponential(12.0, 4000).tolist()
+    lines = [_other(v, i) if i % 4 < share else repr(v) for i, v in enumerate(values)]
+    text = "# h\n" + "\n".join(lines) + "\n"
+    monkeypatch.setattr(durations, "_PARSE_CHUNK", 4096)
+    want = _bits([float(line) for line in lines])
+    for source in (durations._StrLines(text), io.StringIO(text), text.splitlines(),
+                   durations._StrLines(text.replace("\n", "\r\n"))):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(durations, "_parse_lines", None)
+            assert _bits(durations._parse_numbers(source)) == want
+    with pytest.raises(ValueError, match=r"^line 4002: cannot parse 'x' as a number$"):
+        load_durations(text + "x\n")
+    with pytest.raises(ValueError, match=r"^line 3002: '1e400' is not a finite number$"):
+        load_durations("\n".join(["# h", *lines[:3000], "1e400", *lines[3000:]]))
+
+
+def test_float_pieces_follow_pieces_of_mostly_other_lines(monkeypatch):
+    # after a piece in which over a third of the lines went to float(), every
+    # later piece goes to float() whole, with its line numbers and errors
+    calls = []
+    float_piece = durations._float_piece
+
+    def recording(piece, start, split):
+        calls.append(piece.count("\n"))
+        return float_piece(piece, start, split)
+
+    monkeypatch.setattr(durations, "_float_piece", recording)
+    monkeypatch.setattr(durations, "_PARSE_CHUNK", 64)
+    lines = ["%.18e" % (k + 0.5) for k in range(20)] + [repr(k + 0.25) for k in range(20)]
+    text = "\n".join(lines) + "\n"
+    assert _bits(load_durations(text).values) == _bits([float(line) for line in lines])
+    assert len(calls) > 5 and sum(calls) < len(lines)
+    lines[25] = " # late\x0ccomment"
+    with pytest.raises(ValueError, match=r"^line 27: cannot parse 'comment' as a number$"):
+        load_durations("\n".join(lines) + "\n")
+    assert load_durations(io.StringIO("\n".join(lines) + "\n")).n == 39
 
 
 def _timestamps_text(n=250_000):
