@@ -388,8 +388,10 @@ def _parse_numbers(lines) -> np.ndarray:
     ``lines`` is a _StrLines, a text stream (read _PARSE_CHUNK characters at
     a time) or an iterable of str lines (joined _PARSE_LINES at a time); a
     line that is not str is refused with TypeError.  Each piece goes through
-    _parse_piece, which splits a _StrLines piece's lines as str.splitlines()
-    does, a stream's as iterating the stream does, and the others' at '\n'.
+    _parse_piece, and every piece after one in which over a third of the
+    lines went to float() through _float_piece.  Both count a _StrLines
+    piece's lines as str.splitlines() does, a stream's as iterating the
+    stream does, and the others' at '\n'.
     """
     if isinstance(lines, _StrLines):
         pieces = lines.pieces()
