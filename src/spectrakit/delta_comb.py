@@ -106,7 +106,7 @@ def _candidate_ends(csum, delta_t: float, span: int) -> list:
     return ends
 
 
-# floats per zero-padded block in _sequential_sums
+# floats per gathered block in _sequential_sums
 _BLOCK = 1 << 16
 
 
@@ -115,22 +115,27 @@ def _sequential_sums(values: np.ndarray, starts: np.ndarray,
     """(last, before-last) running sums of each window values[start:start+count].
 
     Windows are grouped by power-of-2 length and gathered as rows of a
-    view of the zero-padded values; a row's cumsum is a sequential
-    accumulate, so its columns count - 1 and count - 2 hold the scan's own
-    partial sums, to the bit.  Width 0 is the one-duration windows: before 0.0.
+    view of the values as wide as the group's longest window.  A row that
+    would run past the last value starts that many values earlier, its
+    leading entries zeroed (0.0 + x == x), so a row's cumsum, a sequential
+    accumulate, holds the scan's own partial sums at the window's last
+    two values, to the bit.  Width 0 is the one-duration windows: before 0.0.
     """
     last = np.empty(counts.size)
     before = np.zeros(counts.size)
     widths = np.frexp(counts - 1)[1]          # 2**widths >= counts
-    padded = np.concatenate((values, np.zeros((1 << int(widths.max())) - 1)))
     for width in np.unique(widths).tolist():
-        windows = sliding_window_view(padded, 1 << width)
         group = np.flatnonzero(widths == width)
-        step = max(1, _BLOCK >> width)
+        w = int(counts[group].max())
+        windows = sliding_window_view(values, w)
+        step = max(1, _BLOCK // w)
         for rows in (group[lo:lo + step] for lo in range(0, group.size, step)):
-            block = windows[starts[rows]]
+            lead = np.maximum(starts[rows] + w - values.size, 0)
+            block = windows[starts[rows] - lead]
+            for i in np.flatnonzero(lead).tolist():
+                block[i, :lead[i]] = 0.0
             partial = np.cumsum(block, axis=1, out=block)
-            at, n = np.arange(rows.size), counts[rows]
+            at, n = np.arange(rows.size), lead + counts[rows]
             last[rows] = partial[at, n - 1]
             if width:
                 before[rows] = partial[at, n - 2]

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .durations import SurvivalCurve, write_table
-from .gof import KsReport, check_grid, ks_compare, sweep
+from .gof import KsReport, check_grid, ks_pvalue, sweep
 from .kernel import KernelMatrix
 
 __all__ = [
@@ -44,7 +46,7 @@ class SpectrumGrid:
     @property
     def negative_mass(self) -> float:
         """Total magnitude of the negative components."""
-        return float(-self.masses[self.masses < 0].sum())
+        return 0.0 - float(self.masses[self.masses < 0].sum())
 
     @property
     def negative_count(self) -> int:
@@ -58,10 +60,18 @@ class SpectrumGrid:
 
 @dataclass(frozen=True)
 class TikhonovSolution:
+    """One point of a mu sweep.  ``rebuilt``, K g on the kernel's tau grid,
+    is computed on first access, as CombSolution's is."""
+
     mu: float
     spectrum: SpectrumGrid
-    rebuilt: SurvivalCurve
+    kernel: KernelMatrix
     ks: KsReport
+
+    @cached_property
+    def rebuilt(self) -> SurvivalCurve:
+        return SurvivalCurve(taus=self.kernel.taus,
+                             psi=self.kernel.entries @ self.spectrum.masses)
 
 
 def _records(K, psi) -> tuple[KernelMatrix, SurvivalCurve]:
@@ -117,21 +127,24 @@ def sweep_mu(K, psi, mus):
     SurvivalCurve or an array on the kernel's tau grid; its n_source (at
     least 1) is the KS sample size.  Returns gof.sweep's (solutions,
     best_index); ties in p-value go to the larger mu (stronger
-    regularization).
+    regularization).  Each mu's D and p come from K g as gof.ks_compare's would.
     """
     K, psi = _records(K, psi)
     mus = check_grid("mu", mus)
+    n_eff = int(max(psi.n_source, 1))
 
     U, s, Vt = np.linalg.svd(K.entries, full_matrices=False)
     c = U.T @ psi.psi
 
     def solve(mu) -> TikhonovSolution:
         g = Vt.T @ (s / (s * s + mu) * c)
-        rebuilt = SurvivalCurve(taus=psi.taus, psi=K.entries @ g, n_source=0)
+        r = K.entries @ g
+        d = float(np.max(np.abs(r - psi.psi)))
+        if not (math.isfinite(d) or np.all(np.isfinite(r))):
+            raise ValueError("taus and psi must be finite")
         return TikhonovSolution(mu=float(mu),
                                 spectrum=SpectrumGrid.from_arrays(K.lambdas, g),
-                                rebuilt=rebuilt,
-                                ks=ks_compare(rebuilt, psi, max(psi.n_source, 1)))
+                                kernel=K, ks=KsReport(d, ks_pvalue(d, n_eff), n_eff))
 
     return sweep("mu", mus, solve)
 

@@ -15,8 +15,8 @@ from spectrakit import (DurationSeries, MlParams, assemble_kernel, comb_survival
                         empirical_survival, estimate_h, fit_comb, gen_mittag_leffler,
                         ks_pvalue, ml_survival, sweep_delta_t, sweep_mu)
 from spectrakit.delta_comb import (_CHUNK, _ULP_GAP, _candidate_ends, _ks_distance,
-                                   default_delta_t_grid, write_comb_csv,
-                                   write_delta_t_sweep_csv)
+                                   _sequential_sums, default_delta_t_grid,
+                                   write_comb_csv, write_delta_t_sweep_csv)
 
 
 def test_constant_durations_hand_trace():
@@ -181,6 +181,53 @@ def test_fit_comb_falls_back_to_the_scan(monkeypatch):
     resumed.clear()
     fit_comb(DurationSeries.from_values(np.ones(22)), 10.0)
     assert resumed == []
+
+
+def assert_sums_match_cumsum(values, starts, counts):
+    """_sequential_sums against np.cumsum of each window on its own, to the bit."""
+    values = np.asarray(values, dtype=float)
+    starts, counts = np.asarray(starts), np.asarray(counts)
+    last, before = _sequential_sums(values, starts, counts)
+    for k, (start, count) in enumerate(zip(starts.tolist(), counts.tolist())):
+        partial = np.cumsum(values[start:start + count])
+        assert last[k].tobytes() == partial[-1].tobytes()
+        assert before[k].tobytes() == (partial[-2] if count > 1 else np.float64(0.0)).tobytes()
+
+
+@st.composite
+def windows_on_a_series(draw):
+    """A partition of the series into windows, as fit_comb makes, plus a few
+    windows that end at its last value (rows that start earlier, zero-led)."""
+    values = draw(st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=300))
+    n = len(values)
+    cuts = sorted(set(draw(st.lists(st.integers(1, max(1, n - 1)), max_size=40))) - {n})
+    starts = [0, *cuts]
+    counts = np.diff([*starts, n]).tolist()
+    for count in draw(st.lists(st.integers(1, n), max_size=4)):
+        starts.append(n - count)
+        counts.append(count)
+    return values, starts, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows_on_a_series())
+def test_sequential_sums_equal_each_windows_cumsum(case):
+    assert_sums_match_cumsum(*case)
+
+
+@pytest.mark.parametrize("n, starts, counts", [
+    # the trailing partial window of 9 shares the 12's group, rows 12 wide:
+    # its row starts 3 values early, and that of the last 10 values 2 early
+    (21, [0, 12, 11], [12, 9, 10]),
+    # one window of all n values: the row is the whole series
+    (21, [0], [21]),
+    # one window of 16 sets the row width of its group; the 9s are shorter
+    (43, [0, 9, 18, 27], [9, 9, 9, 16]),
+], ids=["ends-at-the-last-value", "all-n-values", "one-long-window"])
+def test_sequential_sums_fixed_cases(n, starts, counts):
+    values = np.random.default_rng(53).exponential(3.0, n)
+    values[::7] *= 1e8          # coarse partial sums, where rounding order shows
+    assert_sums_match_cumsum(values, starts, counts)
 
 
 def unbounded_ends(csum, delta_t):

@@ -7,7 +7,9 @@ import pytest
 from spectrakit import (DurationSeries, SurvivalCurve, assemble_kernel,
                         empirical_survival, eval_objective, solve_tikhonov, sweep_mu)
 from spectrakit.cli import main
-from spectrakit.tikhonov import default_mu_grid, write_mu_sweep_csv, write_spectrum_csv
+from spectrakit.gof import ks_compare
+from spectrakit.tikhonov import (SpectrumGrid, default_mu_grid, write_mu_sweep_csv,
+                                 write_spectrum_csv)
 
 
 def oracle_solve(A, b, mu, dps=60):
@@ -291,3 +293,44 @@ def test_kernel_with_a_curve_on_another_grid_raises():
     other = SurvivalCurve(taus=K.taus * 2.0, psi=curve.psi, n_source=200)
     with pytest.raises(ValueError, match="psi is not sampled on the kernel's tau grid"):
         sweep_mu(K, other, [0.1])
+
+
+def test_sweep_mu_builds_each_rebuilt_curve_on_first_access():
+    K, curve = _kernel_and_curve()
+    solutions, _ = sweep_mu(K, curve, default_mu_grid()[::10])
+    assert all("rebuilt" not in vars(sol) for sol in solutions)
+    for sol in solutions:
+        rebuilt = sol.rebuilt
+        assert vars(sol)["rebuilt"] is rebuilt
+        assert rebuilt.taus.tobytes() == K.taus.tobytes()
+        assert rebuilt.psi.tobytes() == (K.entries @ sol.spectrum.masses).tobytes()
+        assert rebuilt.n_source == 0
+        assert sol.ks == ks_compare(rebuilt, curve, 200)
+
+
+def test_sweep_mu_refuses_a_non_finite_rebuilt_curve():
+    # s / (s^2 + mu) * c overflows for s = 1e-160 and c ~ 1e300, so g and K g
+    # hold nan
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="^taus and psi must be finite$"):
+        sweep_mu(np.diag([1.0, 1e-160]), np.array([1e300, 1e300]), [5e-324])
+
+
+def test_negative_mass_is_never_negative_zero():
+    assert str(SpectrumGrid.from_arrays([1.0, 2.0], [0.5, 0.0]).negative_mass) == "0.0"
+    assert str(SpectrumGrid.from_arrays([1.0], [-0.0]).negative_mass) == "0.0"
+    masses = np.array([-0.1, 0.3, -0.2, 1e-17])
+    spectrum = SpectrumGrid.from_arrays(np.arange(1.0, 5.0), masses)
+    assert spectrum.negative_mass == -masses[masses < 0].sum()
+
+
+def test_cli_echoes_zero_negative_mass_without_a_sign(tmp_path, capsys):
+    # at h = 1e300 every kernel entry past tau = 0 underflows to 0, so g = 0
+    raw = tmp_path / "a.txt"
+    raw.write_text("1\n2\n3\n")
+    prefix = str(tmp_path / "t")
+    assert main(["tikhonov", "--input", str(raw), "--h", "1e300", "-o", prefix]) == 0
+    assert "# neg_mass = 0\n" in capsys.readouterr().out
+    rows = (tmp_path / "t_sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 200
+    assert all(row.split(",")[3] == "0" for row in rows)
