@@ -191,7 +191,8 @@ def assert_sums_match_cumsum(values, starts, counts):
     for k, (start, count) in enumerate(zip(starts.tolist(), counts.tolist())):
         partial = np.cumsum(values[start:start + count])
         assert last[k].tobytes() == partial[-1].tobytes()
-        assert before[k].tobytes() == (partial[-2] if count > 1 else np.float64(0.0)).tobytes()
+        expected_before = partial[-2] if count > 1 else np.float64(0.0)
+        assert before[k].tobytes() == expected_before.tobytes()
 
 
 @st.composite

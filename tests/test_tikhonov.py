@@ -325,7 +325,7 @@ def test_negative_mass_is_never_negative_zero():
 
 
 def test_cli_echoes_zero_negative_mass_without_a_sign(tmp_path, capsys):
-    # at h = 1e300 every kernel entry past tau = 0 underflows to 0, so g = 0
+    # at h = 1e300 every kernel entry exp(-h*i*j) underflows to 0, so g = 0
     raw = tmp_path / "a.txt"
     raw.write_text("1\n2\n3\n")
     prefix = str(tmp_path / "t")
