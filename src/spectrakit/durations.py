@@ -167,30 +167,29 @@ class _StrLines:
         self.text = text
 
     def pieces(self):
-        text = self.text
-        for piece in _pieces(text[i:i + _PARSE_CHUNK]
-                             for i in range(0, len(text), _PARSE_CHUNK)):
-            yield piece, _BREAKS
+        chunks = range(0, len(self.text), _PARSE_CHUNK)
+        return _pieces((self.text[i:i + _PARSE_CHUNK] for i in chunks), lambda: _BREAKS)
 
     def __iter__(self):  # its lines, for _parse_lines
         return iter(self.text.splitlines())
 
 
-def _pieces(chunks, cr=lambda: False):
-    """The text of the chunks, cut after the last '\n' of each chunk that has one;
-    where ``cr()`` holds once a chunk is read, after a later '\r' that does not
-    end the chunk (and so is no '\r\n' cut in two)."""
+def _pieces(chunks, split):
+    """(piece, split()) for each piece of the text of the chunks, split() called
+    once the piece is read (see _parse_piece).  A piece ends after the last
+    '\n' of a chunk that has one; where split() is not None, after a later
+    '\r' that does not end the chunk (and so is no '\r\n' cut in two)."""
     head = []
     for chunk in chunks:
         cut = chunk.rfind("\n") + 1
-        if cr():
+        if (marker := split()) is not None:
             cut = max(cut, chunk.rfind("\r", 0, -1) + 1)
         if cut:
-            yield "".join([*head, chunk[:cut]])
+            yield "".join([*head, chunk[:cut]]), marker
             head = []
         head.append(chunk[cut:])
     if tail := "".join(head):
-        yield tail
+        yield tail, split()
 
 
 def _stream_pieces(stream):
@@ -201,11 +200,7 @@ def _stream_pieces(stream):
                 raise _type_error(chunk)
             yield chunk
 
-    def cr():
-        return getattr(stream, "newlines", None) is not None
-
-    for piece in _pieces(reads(), cr):
-        yield piece, _CR if cr() else None
+    return _pieces(reads(), lambda: None if getattr(stream, "newlines", None) is None else _CR)
 
 
 def _joined(lines):
@@ -216,11 +211,11 @@ def _joined(lines):
     """
     lines = iter(lines)
     while chunk := list(islice(lines, _PARSE_LINES)):
-        if set(map(type, chunk)) - {str}:
-            for line in chunk:
-                if not isinstance(line, str):
-                    raise _type_error(line)
-        text = "\n".join(chunk) + "\n"
+        try:
+            text = "\n".join(chunk) + "\n"
+        except TypeError:  # a line that is not str
+            raise _type_error(next(line for line in chunk
+                                   if not isinstance(line, str))) from None
         if text.count("\n") > len(chunk):
             text = "\n".join([line.removesuffix("\n") for line in chunk]) + "\n"
         yield chunk if text.count("\n") > len(chunk) else text, None
@@ -295,11 +290,11 @@ def _parse_piece(piece: str, start: int, split):
     of the form [0-9]+(\\.[0-9]+)? of at most 24 digits is converted in numpy:
     an integer part I and q decimals F, each packed from its digits 8 at a
     time, give the mantissa I * 10**q + F that _exact divides.  The lines
-    whose quotient _exact leaves to float(), and the piece's other lines,
-    take one _floats pass.  A piece goes through _float_piece whole if one of
-    those lines fails it, or if it holds a byte of ``split`` (None, or the
-    bytes at which its source may end a line besides '\n': _BREAKS for a
-    str, which splits as str.splitlines() does, _CR for a stream that
+    whose quotient _exact leaves to float(), and the piece's other lines, are
+    sliced out for one _floats pass.  A piece goes through _float_piece whole
+    if one of those lines fails it, or if it holds a byte of ``split`` (None,
+    or the bytes at which its source may end a line besides '\n': _BREAKS
+    for a str, which splits as str.splitlines() does, _CR for a stream that
     splits at a lone '\r'); ``start`` is the number of its first line.
     """
     raw = piece.encode("ascii", "replace")  # one byte per character
@@ -341,15 +336,8 @@ def _parse_piece(piece: str, start: int, split):
         return values, ends.size, False
 
     ks = np.flatnonzero(odd)
-    if ks.size * 3 < ends.size:  # few: slice them out
-        texts = [piece[i:j] for i, j in zip((starts[ks] - _PAD).tolist(),
-                                            (ends[ks] - _PAD).tolist())]
-    else:
-        texts = piece.split("\n")
-        del texts[ends.size:]  # the '' after a last '\n'
-        if ks.size < ends.size:
-            texts = [texts[k] for k in ks.tolist()]
-    got = _floats(texts)
+    got = _floats([piece[i:j] for i, j in zip((starts[ks] - _PAD).tolist(),
+                                              (ends[ks] - _PAD).tolist())])
     if got is None:  # a line that fails: line by line, for its error
         return (*_float_piece(piece, start, split), True)
     out = np.empty(ends.size)
@@ -385,13 +373,13 @@ def _float_piece(piece: str, start: int, split):
 def _parse_numbers(lines) -> np.ndarray:
     """The numbers _parse_lines yields, converted a piece of text at a time.
 
-    ``lines`` is a _StrLines, a text stream (read _PARSE_CHUNK characters at
-    a time) or an iterable of str lines (joined _PARSE_LINES at a time); a
-    line that is not str is refused with TypeError.  Each piece goes through
-    _parse_piece, and every piece after one in which over a third of the
-    lines went to float() through _float_piece.  Both count a _StrLines
-    piece's lines as str.splitlines() does, a stream's as iterating the
-    stream does, and the others' at '\n'.
+    ``lines`` is a _StrLines or a text stream, read _PARSE_CHUNK characters
+    at a time and cut by _pieces, or an iterable of str lines (joined
+    _PARSE_LINES at a time); a line that is not str is refused with
+    TypeError.  Each piece goes through _parse_piece, and every piece after
+    one in which over a third of the lines went to float() through
+    _float_piece.  Both count a _StrLines piece's lines as str.splitlines()
+    does, a stream's as iterating the stream does, and the others' at '\n'.
     """
     if isinstance(lines, _StrLines):
         pieces = lines.pieces()

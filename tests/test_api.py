@@ -1,9 +1,12 @@
-"""The public names: every __all__ entry resolves, and every function the
-benchmark's tracer wraps exists."""
+"""The public names: every __all__ entry resolves, every function the
+benchmark's tracer wraps exists, and the runtime imports numpy alone."""
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,14 @@ def test_traced_functions_exist():
                if not callable(getattr(importlib.import_module(f"spectrakit.{module}"),
                                        func, None))]
     assert missing == []
+
+
+def test_runtime_imports_numpy_alone():
+    # the runtime dependency is numpy; the test dependencies stay out
+    code = ("import sys, spectrakit, spectrakit.cli\n"
+            "print(*[m in sys.modules for m in "
+            "('numpy', 'scipy', 'mpmath', 'hypothesis', 'pytest')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False", "False", "False", "False"]

@@ -140,8 +140,9 @@ def test_fit_comb_equals_sequential_scan_on_random_series():
 
 def test_fit_comb_equals_sequential_scan_past_one_row_per_block(monkeypatch):
     # windows of 60k to 200k durations take rows of 2**16 to 2**18 columns,
-    # one row per block, and every row but the first runs past the end of
-    # the series into the zero padding; the check alone must pass them
+    # one row per block, and every row but the first would run past the end
+    # of the series, so starts earlier with its leading entries zeroed; the
+    # check alone must pass them
     from spectrakit import delta_comb
 
     def no_scan(values, *args):

@@ -324,11 +324,13 @@ def _peak(load):
         tracemalloc.stop()
 
 
-def test_str_source_peak_stays_near_the_file_source_peak(tmp_path):
-    # a str is parsed a piece at a time, not as a list of all its lines
-    text = _timestamps_text()
+@pytest.mark.parametrize("end", ["\n", "\r"], ids=["lf", "cr"])
+def test_str_source_peak_stays_near_the_file_source_peak(tmp_path, end):
+    # a str is parsed a piece at a time, not as a list of all its lines,
+    # whether its lines end in '\n' or in a lone '\r'
+    text = _timestamps_text().replace("\n", end)
     path = tmp_path / "ts.txt"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", newline="")
     with open(path, encoding="utf-8") as fh:
         file_peak, from_file = _peak(lambda: load_durations(fh, mode="timestamps"))
     str_peak, from_str = _peak(lambda: load_durations(text, mode="timestamps"))
