@@ -145,14 +145,8 @@ _LIMIT = np.array([10 ** max(19 - q, 0) for q in range(_PAD)], np.uint64)
 _MASKS = np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - k) << 8 * (8 - k) for k in range(9)],
                   np.uint64)
 
-# bytes that end a line in str.splitlines() besides '\n'; '?' stands for any
-# non-ASCII character (\x85, \u2028 and \u2029 among them)
-_BREAKS = np.frombuffer(b"\r\x0b\x0c\x1c\x1d\x1e?", np.uint8)
-
-# a lone '\r' also ends a line of a stream that reports the newlines it has
-# read, as one opened with newline="" does (with the default newline=None,
-# its text holds no '\r')
-_CR = np.frombuffer(b"\r", np.uint8)
+# the characters besides '\n' that end a line in str.splitlines()
+_STR_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _type_error(line) -> TypeError:
@@ -160,36 +154,35 @@ def _type_error(line) -> TypeError:
                      f"not {type(line).__name__} lines")
 
 
-class _StrLines:
-    """A str source, read a piece at a time as a stream is."""
+def _pieces(chunks, breaks):
+    """Each piece of the text of the chunks, with every line ended by '\n' alone.
 
-    def __init__(self, text: str):
-        self.text = text
-
-    def pieces(self):
-        chunks = range(0, len(self.text), _PARSE_CHUNK)
-        return _pieces((self.text[i:i + _PARSE_CHUNK] for i in chunks), lambda: _BREAKS)
-
-    def __iter__(self):  # its lines, for _parse_lines
-        return iter(self.text.splitlines())
-
-
-def _pieces(chunks, split):
-    """(piece, split()) for each piece of the text of the chunks, split() called
-    once the piece is read (see _parse_piece).  A piece ends after the last
-    '\n' of a chunk that has one; where split() is not None, after a later
-    '\r' that does not end the chunk (and so is no '\r\n' cut in two)."""
+    breaks() gives the characters besides '\n' at which the source ends a
+    line, once a chunk is read ('\r' among them makes '\r\n' one line end, as
+    in every source that breaks at '\r').  A piece ends after the last '\n'
+    of a chunk that has one, or else after its last other break that does
+    not end the chunk (a '\r' there may be half of a '\r\n').
+    """
     head = []
     for chunk in chunks:
-        cut = chunk.rfind("\n") + 1
-        if (marker := split()) is not None:
-            cut = max(cut, chunk.rfind("\r", 0, -1) + 1)
+        ends = breaks()
+        cut = chunk.rfind("\n") + 1 or max([chunk.rfind(c, 0, -1) + 1 for c in ends],
+                                            default=0)
         if cut:
-            yield "".join([*head, chunk[:cut]]), marker
+            yield _ended("".join([*head, chunk[:cut]]), ends)
             head = []
         head.append(chunk[cut:])
     if tail := "".join(head):
-        yield tail, split()
+        yield _ended(tail, breaks())
+
+
+def _ended(piece: str, breaks: str) -> str:
+    # the piece with each '\r\n', and each of the breaks, made '\n'
+    if any(c in piece for c in breaks):
+        piece = piece.replace("\r\n", "\n")
+        for c in breaks:
+            piece = piece.replace(c, "\n")
+    return piece
 
 
 def _stream_pieces(stream):
@@ -200,14 +193,17 @@ def _stream_pieces(stream):
                 raise _type_error(chunk)
             yield chunk
 
-    return _pieces(reads(), lambda: None if getattr(stream, "newlines", None) is None else _CR)
+    # a lone '\r' also ends a line once the stream reports the newlines it has
+    # read, as one opened with newline="" does (newline=None leaves no '\r')
+    return _pieces(reads(),
+                   lambda: "" if getattr(stream, "newlines", None) is None else "\r")
 
 
 def _joined(lines):
     """Pieces of str lines, each ended by '\n', _PARSE_LINES lines at a time.
 
     A trailing '\n' comes off every line first if some line has one.  A chunk
-    in which a line still holds a '\n' stays a list, to be read line by line.
+    in which a line still holds a '\n' stays a list, for _float_piece.
     """
     lines = iter(lines)
     while chunk := list(islice(lines, _PARSE_LINES)):
@@ -218,7 +214,7 @@ def _joined(lines):
                                    if not isinstance(line, str))) from None
         if text.count("\n") > len(chunk):
             text = "\n".join([line.removesuffix("\n") for line in chunk]) + "\n"
-        yield chunk if text.count("\n") > len(chunk) else text, None
+        yield chunk if text.count("\n") > len(chunk) else text
 
 
 def _number(words, end, size):
@@ -282,7 +278,7 @@ def _floats(texts):
     return (values, keep) if np.isfinite(values).all() else None
 
 
-def _parse_piece(piece: str, start: int, split):
+def _parse_piece(piece: str, start: int):
     """The numbers _parse_lines yields for the lines of a piece, its line count,
     and whether more than a third of its lines went to float().
 
@@ -292,10 +288,7 @@ def _parse_piece(piece: str, start: int, split):
     time, give the mantissa I * 10**q + F that _exact divides.  The lines
     whose quotient _exact leaves to float(), and the piece's other lines, are
     sliced out for one _floats pass.  A piece goes through _float_piece whole
-    if one of those lines fails it, or if it holds a byte of ``split`` (None,
-    or the bytes at which its source may end a line besides '\n': _BREAKS
-    for a str, which splits as str.splitlines() does, _CR for a stream that
-    splits at a lone '\r'); ``start`` is the number of its first line.
+    if one of those lines fails it; ``start`` is the number of its first line.
     """
     raw = piece.encode("ascii", "replace")  # one byte per character
     if not raw.endswith(b"\n"):
@@ -317,8 +310,6 @@ def _parse_piece(piece: str, start: int, split):
     plain = ~odd & (ends > starts)
     if odd.any():
         odd &= b[starts] != ord("#")
-        if split is not None and np.isin(c, split).any():  # a line may split further
-            return (*_float_piece(piece, start, split), odd.sum() * 3 > ends.size)
 
     words = np.ndarray((b.size - 7,), "<u8", b, strides=(1,))
     p, q = p[plain], q[plain]
@@ -339,7 +330,7 @@ def _parse_piece(piece: str, start: int, split):
     got = _floats([piece[i:j] for i, j in zip((starts[ks] - _PAD).tolist(),
                                               (ends[ks] - _PAD).tolist())])
     if got is None:  # a line that fails: line by line, for its error
-        return (*_float_piece(piece, start, split), True)
+        return (*_float_piece(piece.removesuffix("\n").split("\n"), start), True)
     out = np.empty(ends.size)
     out[plain] = values
     if got[1] is not None:
@@ -348,53 +339,41 @@ def _parse_piece(piece: str, start: int, split):
     return out[plain | odd], ends.size, ks.size * 3 > ends.size
 
 
-def _lines(piece: str, split) -> list:
-    # the lines of a piece as its source splits them (see _parse_piece)
-    if split is _BREAKS:
-        return piece.splitlines()
-    if split is _CR and "\r" in piece:
-        piece = piece.replace("\r\n", "\n").replace("\r", "\n")
-    lines = piece.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
-
-
-def _float_piece(piece: str, start: int, split):
-    """The numbers _parse_lines yields for the lines of a piece, from one _floats
-    pass, or else line by line for the error, and the piece's line count."""
-    lines = _lines(piece, split)
+def _float_piece(lines: list, start: int):
+    """The numbers _parse_lines yields for the lines, from one _floats pass, or
+    else line by line for the error, and their count."""
     got = _floats(lines)
     if got is None:
         return np.fromiter(_parse_lines(lines, start), dtype=float), len(lines)
     return got[0], len(lines)
 
 
-def _parse_numbers(lines) -> np.ndarray:
+def _parse_numbers(source) -> np.ndarray:
     """The numbers _parse_lines yields, converted a piece of text at a time.
 
-    ``lines`` is a _StrLines or a text stream, read _PARSE_CHUNK characters
-    at a time and cut by _pieces, or an iterable of str lines (joined
-    _PARSE_LINES at a time); a line that is not str is refused with
-    TypeError.  Each piece goes through _parse_piece, and every piece after
-    one in which over a third of the lines went to float() through
-    _float_piece.  Both count a _StrLines piece's lines as str.splitlines()
-    does, a stream's as iterating the stream does, and the others' at '\n'.
+    ``source`` is a str or a text stream, read _PARSE_CHUNK characters at a
+    time and cut by _pieces, which ends a str's lines as str.splitlines()
+    does and a stream's as iterating the stream does; or an iterable of str
+    lines (joined _PARSE_LINES at a time), one line per item; a line that is
+    not str is refused with TypeError.  Each piece goes through _parse_piece,
+    and every piece after one in which over a third of the lines went to
+    float(), and every list of _joined, through _float_piece.
     """
-    if isinstance(lines, _StrLines):
-        pieces = lines.pieces()
-    elif hasattr(lines, "read"):
-        pieces = _stream_pieces(lines)
+    if isinstance(source, str):
+        chunks = range(0, len(source), _PARSE_CHUNK)
+        pieces = _pieces((source[i:i + _PARSE_CHUNK] for i in chunks), lambda: _STR_BREAKS)
+    elif hasattr(source, "read"):
+        pieces = _stream_pieces(source)
     else:
-        pieces = _joined(lines)
+        pieces = _joined(source)
     parts, start, floats = [], 1, False
-    for piece, split in pieces:
+    for piece in pieces:
+        if floats and isinstance(piece, str):  # over a third went to float() last time
+            piece = piece.removesuffix("\n").split("\n")
         if isinstance(piece, list):
-            part, count = np.fromiter(_parse_lines(piece, start), dtype=float), len(piece)
-        elif floats:  # over a third of the last piece's lines went to float()
-            part, count = _float_piece(piece, start, split)
+            part, count = _float_piece(piece, start)
         else:
-            part, count, floats = _parse_piece(piece, start, split)
+            part, count, floats = _parse_piece(piece, start)
         parts.append(part)
         start += count
     return np.concatenate(parts) if parts else np.empty(0)
@@ -430,7 +409,7 @@ def load_durations(source, mode: str = "durations",
         raise ValueError(f"unknown mode {mode!r}")
     if isinstance(source, (bytes, bytearray)):
         raise TypeError("source must be str or an iterable of str lines, not bytes")
-    numbers = _parse_numbers(_StrLines(source) if isinstance(source, str) else source)
+    numbers = _parse_numbers(source)
     if mode == "timestamps":
         with np.errstate(over="ignore"):  # from_values refuses an inf difference
             numbers = np.diff(numbers) if numbers.size > 1 else np.empty(0)

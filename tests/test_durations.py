@@ -57,6 +57,12 @@ def _load_or_error(text, mode, as_file):
     return s.values.tolist(), s.dropped
 
 
+def _line_by_line(source):
+    # the reference parse, a str's lines split as str.splitlines() splits them
+    lines = source.splitlines() if isinstance(source, str) else source
+    return np.fromiter(durations._parse_lines(lines), dtype=float)
+
+
 _TOKENS = ["1", "2.5", "-3", "0", "1e-400", "1_0", "١٢", "infinity", "-inf", "1e400",
            "nan", "0x10", "abc", "", "#", "# 7", "+4", ".5"]
 
@@ -75,8 +81,7 @@ def test_fast_parse_equals_line_by_line_parse(rows, mode, chunk, as_file):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(durations, "_PARSE_CHUNK", chunk)
         fast = _load_or_error(text, mode, as_file)
-        mp.setattr(durations, "_parse_numbers",
-                   lambda lines: np.fromiter(durations._parse_lines(lines), dtype=float))
+        mp.setattr(durations, "_parse_numbers", _line_by_line)
         slow = _load_or_error(text, mode, as_file)
     assert fast == slow
 
@@ -112,8 +117,7 @@ def test_fast_parse_equals_line_by_line_parse_under_unicode_space(rows, mode, ch
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(durations, "_PARSE_CHUNK", chunk)
         fast = _load_or_error(text, mode, as_file)
-        mp.setattr(durations, "_parse_numbers",
-                   lambda lines: np.fromiter(durations._parse_lines(lines), dtype=float))
+        mp.setattr(durations, "_parse_numbers", _line_by_line)
         slow = _load_or_error(text, mode, as_file)
     assert fast == slow
 
@@ -152,6 +156,27 @@ def test_header_then_data_converts_in_one_pass():
         # a '#' line after the data is skipped in numpy as well
         assert load_durations("# h\n1\n# mid\n2\n").values.tolist() == [1.0, 2.0]
         assert calls == [2]
+
+
+@pytest.mark.parametrize("chunk", [7, durations._PARSE_CHUNK])
+def test_other_line_ends_are_converted_in_numpy(chunk):
+    # plain lines ended by '\r\n', a lone '\r' or '\x0c' in a str, and by
+    # '\r\n' or a lone '\r' in a stream read with newline="", make no float()
+    # pass and give float()'s bits
+    lines = ["%.6f" % v for v in np.random.default_rng(7).exponential(12.0, 500)]
+    want = np.array([float(line) for line in lines]).view(np.uint64).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(durations, "_PARSE_CHUNK", chunk)
+        calls = _count_floats(mp)
+        for end in ("\r\n", "\r", "\x0c"):
+            text = end.join(lines) + end
+            sources = [text]
+            if end != "\x0c":
+                sources += [io.StringIO(text, newline=""),
+                            io.TextIOWrapper(io.BytesIO(text.encode()), newline="")]
+            for source in sources:
+                assert durations._parse_numbers(source).view(np.uint64).tolist() == want
+        assert calls == []
 
 
 def test_header_longer_than_a_chunk(monkeypatch):

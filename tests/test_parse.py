@@ -36,7 +36,7 @@ def _assert_exact(lines, chunk=_CHUNKS[0], ld_bits=durations._LD_BITS):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(durations, "_PARSE_CHUNK", chunk)
         mp.setattr(durations, "_LD_BITS", ld_bits)
-        for source in (durations._StrLines(text), io.StringIO(text), list(lines)):
+        for source in (text, io.StringIO(text), list(lines)):
             assert _bits(durations._parse_numbers(source)) == want
 
 
@@ -125,7 +125,7 @@ def test_midpoints_reach_the_tie_fallback(monkeypatch):
         return v, hard
 
     monkeypatch.setattr(durations, "_exact", recording)
-    durations._parse_numbers(durations._StrLines("\n".join(_midpoint_renderings(5))))
+    durations._parse_numbers("\n".join(_midpoint_renderings(5)))
     assert sum(fallen) >= 5
 
 
@@ -154,7 +154,7 @@ def test_bench_inputs_parse_as_line_by_line(tmp_path, name, seed):
     with open(path, encoding="utf-8") as fh:
         assert _bits(durations._parse_numbers(fh)) == want
     text = path.read_text(encoding="utf-8")
-    assert _bits(durations._parse_numbers(durations._StrLines(text))) == want
+    assert _bits(durations._parse_numbers(text)) == want
 
 
 def test_non_str_lines_are_refused_anywhere(monkeypatch):
@@ -166,6 +166,12 @@ def test_non_str_lines_are_refused_anywhere(monkeypatch):
                 with pytest.raises(TypeError, match="^source must be str or an iterable "
                                                     f"of str lines, not {name} lines$"):
                     load_durations(source)
+
+
+def test_str_breaks_are_the_splitlines_breaks():
+    ends = {c for c in map(chr, range(sys.maxunicode + 1))
+            if len(f"1{c}2".splitlines()) == 2}
+    assert ends == {"\n", *durations._STR_BREAKS}
 
 
 def test_line_numbers_count_splitlines_breaks_and_cut_pieces(monkeypatch):
@@ -276,8 +282,7 @@ def test_other_lines_take_one_float_pass_per_piece(monkeypatch, share):
     text = "# h\n" + "\n".join(lines) + "\n"
     monkeypatch.setattr(durations, "_PARSE_CHUNK", 4096)
     want = _bits([float(line) for line in lines])
-    for source in (durations._StrLines(text), io.StringIO(text), text.splitlines(),
-                   durations._StrLines(text.replace("\n", "\r\n"))):
+    for source in (text, io.StringIO(text), text.splitlines(), text.replace("\n", "\r\n")):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(durations, "_parse_lines", None)
             assert _bits(durations._parse_numbers(source)) == want
@@ -293,9 +298,9 @@ def test_float_pieces_follow_pieces_of_mostly_other_lines(monkeypatch):
     calls = []
     float_piece = durations._float_piece
 
-    def recording(piece, start, split):
-        calls.append(piece.count("\n"))
-        return float_piece(piece, start, split)
+    def recording(lines, start):
+        calls.append(len(lines))
+        return float_piece(lines, start)
 
     monkeypatch.setattr(durations, "_float_piece", recording)
     monkeypatch.setattr(durations, "_PARSE_CHUNK", 64)
@@ -324,13 +329,15 @@ def _peak(load):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("end", ["\n", "\r"], ids=["lf", "cr"])
+@pytest.mark.parametrize("end", ["\n", "\r", "\x0c", "\x1e"], ids=["lf", "cr", "ff", "rs"])
 def test_str_source_peak_stays_near_the_file_source_peak(tmp_path, end):
     # a str is parsed a piece at a time, not as a list of all its lines,
-    # whether its lines end in '\n' or in a lone '\r'
-    text = _timestamps_text().replace("\n", end)
+    # whether its lines end in '\n', a lone '\r' or another str.splitlines()
+    # break; the file holds the same lines ended by '\n'
+    text = _timestamps_text()
     path = tmp_path / "ts.txt"
-    path.write_text(text, encoding="utf-8", newline="")
+    path.write_text(text, encoding="utf-8")
+    text = text.replace("\n", end)
     with open(path, encoding="utf-8") as fh:
         file_peak, from_file = _peak(lambda: load_durations(fh, mode="timestamps"))
     str_peak, from_str = _peak(lambda: load_durations(text, mode="timestamps"))
