@@ -97,7 +97,7 @@ def _echo(args, pairs) -> None:
 
 def _warn_if_edge(name: str, grid, best: int) -> None:
     edge = {grid.min(): "lower", grid.max(): "upper"}.get(grid[best])
-    if grid.size >= 2 and edge:
+    if grid.min() < grid.max() and edge:
         print(f"warning: best {name} = {grid[best]:g} is at the {edge} edge of its "
               f"{grid.size}-point grid", file=sys.stderr)
 

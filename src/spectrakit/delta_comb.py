@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .durations import DurationSeries, SurvivalCurve, write_table
 from .gof import KsReport, ks_pvalue, sweep
@@ -31,8 +30,9 @@ class DeltaComb:
     """Weights a_j and rates lambda_j of a finite exponential mixture.
 
     Each window j holds the minimum run of consecutive durations whose
-    sum T_j exceeds delta_t (strictly); lambda_j = N_j/T_j and
-    a_j = N_j/N, so the weights sum to one by construction.
+    exact sum exceeds delta_t (strictly); T_j, that sum within 1e-14
+    relative, gives lambda_j = N_j/T_j, and a_j = N_j/N, so the weights
+    sum to one by construction.
     """
 
     weights: np.ndarray
@@ -61,43 +61,61 @@ class CombSolution:
         return comb_survival(self.comb, self.taus)
 
 
-def _scan(values, delta_t: float, counts: list, sums: list) -> None:
-    """The sequential window scan: add the durations one by one.
+def _exceeds(values: np.ndarray, start: int, stop: int, delta_t: float) -> bool:
+    """Whether the exact sum of values[start:stop] exceeds delta_t.
 
-    Appends the count and sum of each window, and of a trailing run
-    that never exceeded delta_t, to ``counts`` and ``sums``.
+    math.fsum rounds correctly, so the sign of the sum less delta_t is
+    exact; fsum(window) > delta_t would not be, as a sum just above
+    delta_t can round to it.
     """
-    cur_n, cur_t = 0, 0.0
-    for tau in values:
-        cur_n += 1
-        cur_t += tau
-        if cur_t > delta_t:
-            counts.append(cur_n)
-            sums.append(cur_t)
-            cur_n, cur_t = 0, 0.0
-    if cur_n:
-        counts.append(cur_n)
-        sums.append(cur_t)
+    return math.fsum([*values[start:stop].tolist(), -delta_t]) > 0
 
 
-def _candidate_ends(csum, delta_t: float, span: int) -> list:
-    """Last index of each window, chased through the prefix sums.
+def _window_ends(series: DurationSeries, delta_t: float, span: int) -> list:
+    """Last index of each window: the first j >= start whose exact sum
+    values[start] + ... + values[j] exceeds delta_t; an end of n marks a
+    trailing run.
 
-    Window k ends at the first j with csum[j] > csum[start - 1] + delta_t;
-    an end of len(csum) marks a trailing run.  Each end is bisected in
-    [start, start + span) first, and only past it when every prefix sum
-    there is at most the target: bisection on a sub-range returns the
-    whole range's answer whenever that answer lies inside it.  Prefix-sum
-    differences round differently from the window's own running sum, so
-    an end is only a candidate until _sequential_sums checks it.
+    Each end is first bisected on the prefix sums csum, as the first j
+    with csum[j] > csum[start - 1] + delta_t, in [start, start + span) and
+    only past it when every prefix sum there is at most the target:
+    bisection on a sub-range returns the whole range's answer whenever
+    that answer lies inside it.
+
+    np.cumsum adds the n positive durations one by one, so each prefix
+    sum is within gamma_(n-1) * S of its exact value, S the exact total and
+    gamma_k = k*u / (1 - k*u) with u = 2**-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 4.2).  csum[j] - csum[start - 1]
+    is then within 2 * gamma_(n-1) * S of the window's exact sum, and the
+    target and the band edges below each round by at most u * csum[-1]
+    where a prefix sum can reach them: below 2 * n * u * csum[-1] in all
+    while n * u is small, and slack = 4 * n * u * csum[-1] doubles that.
+    So only an index whose prefix sum lies in [target - slack, target +
+    slack] can sit on the wrong side of the target.  When a prefix sum next
+    to the bisected end does, that band is bisected on _exceeds.
     """
+    values = series.values
+    # memoryview items are Python floats; bisect compares a list's items
+    # faster, but a list costs 32 bytes a float (8 MB at n = 250k)
+    csum = memoryview(series.prefix_sums)
     n = len(csum)
+    slack = 4 * n * 2.0 ** -53 * csum[-1]
     ends, start, base = [], 0, 0.0
     while start < n:
         target, hi = base + delta_t, start + span
         end = bisect_right(csum, target, start, hi if hi < n else n)
         if end == hi:
             end = bisect_right(csum, target, hi)
+        low, high = target - slack, target + slack
+        if (end < n and csum[end] <= high) or (end > start and csum[end - 1] >= low):
+            lo, hi = bisect_left(csum, low, start, end), bisect_right(csum, high, end)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if _exceeds(values, start, mid + 1, delta_t):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            end = lo
         ends.append(end)
         if end == n:
             break
@@ -106,83 +124,32 @@ def _candidate_ends(csum, delta_t: float, span: int) -> list:
     return ends
 
 
-# floats per gathered block in _sequential_sums
-_BLOCK = 1 << 16
-
-
-def _sequential_sums(values: np.ndarray, starts: np.ndarray,
-                     counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(last, before-last) running sums of each window values[start:start+count].
-
-    Windows are grouped by power-of-2 length and gathered as rows of a
-    view of the values as wide as the group's longest window.  A row that
-    would run past the last value starts that many values earlier, its
-    leading entries zeroed (0.0 + x == x), so a row's cumsum, a sequential
-    accumulate, holds the scan's own partial sums at the window's last
-    two values, to the bit.  Width 0 is the one-duration windows: before 0.0.
-    """
-    last = np.empty(counts.size)
-    before = np.zeros(counts.size)
-    widths = np.frexp(counts - 1)[1]          # 2**widths >= counts
-    for width in np.unique(widths).tolist():
-        group = np.flatnonzero(widths == width)
-        w = int(counts[group].max())
-        windows = sliding_window_view(values, w)
-        step = max(1, _BLOCK // w)
-        for rows in (group[lo:lo + step] for lo in range(0, group.size, step)):
-            lead = np.maximum(starts[rows] + w - values.size, 0)
-            block = windows[starts[rows] - lead]
-            for i in np.flatnonzero(lead).tolist():
-                block[i, :lead[i]] = 0.0
-            partial = np.cumsum(block, axis=1, out=block)
-            at, n = np.arange(rows.size), lead + counts[rows]
-            last[rows] = partial[at, n - 1]
-            if width:
-                before[rows] = partial[at, n - 2]
-    return last, before
-
-
 def fit_comb(series: DurationSeries, delta_t: float) -> DeltaComb:
     """Split the duration stream into windows of ~constant activity.
 
     A window is the shortest run of consecutive durations, from the end
-    of the previous one, whose running sum strictly exceeds delta_t.  A
+    of the previous one, whose exact sum strictly exceeds delta_t.  A
     trailing run whose sum never exceeds delta_t becomes a final partial
     window, so every duration is in a window and the weights
-    counts / series.n sum to 1.
+    counts / series.n sum to 1.  Window membership is exact, and each
+    window sum, np.add.reduceat of its durations, is within 1e-14
+    relative of the exact sum.
 
     Window ends are found by bisecting the series' prefix sums, one
     bisection per window, first within a span of twice the expected
-    window length delta_t / mean (at least 16).  Every window is then
-    checked with its own sequential running sum, so counts and sums
-    equal those of a scan that adds the durations one by one, to the
-    bit.  From the first window whose check fails (its running sum and
-    the prefix-sum difference fall on opposite sides of delta_t) the
-    scan itself takes over.
+    window length delta_t / mean (at least 16); where rounding could move
+    an end, the exact sum settles it (see _window_ends).
     """
     if not (math.isfinite(delta_t) and delta_t > 0):
         raise ValueError(f"delta_t must be finite and > 0, got {delta_t}")
     delta_t = float(delta_t)
-    values = series.values
-    # memoryview items are Python floats; bisect compares a list's items
-    # faster, but a list costs 32 bytes a float (8 MB at n = 250k)
-    csum = memoryview(series.prefix_sums)
-    span = max(16, int(min(2 * delta_t / series.mean, values.size)))
-    ends = np.array(_candidate_ends(csum, delta_t, span), dtype=int)
+    n = series.n
+    span = max(16, int(min(2 * delta_t / series.mean, n)))
+    ends = np.array(_window_ends(series, delta_t, span), dtype=int)
     starts = np.concatenate(([0], ends[:-1] + 1))
-    is_tail = ends == values.size
-    window_counts = np.minimum(ends, values.size - 1) - starts + 1
-    last, before = _sequential_sums(values, starts, window_counts)
-    ok = np.where(is_tail, last <= delta_t, (last > delta_t) & (before <= delta_t))
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        k = int(bad[0])
-        counts, sums = window_counts[:k].tolist(), last[:k].tolist()
-        _scan(values[starts[k]:].tolist(), delta_t, counts, sums)
-        counts, sums = np.array(counts, dtype=int), np.array(sums, dtype=float)
-    else:
-        counts, sums = window_counts, last
-    return DeltaComb(weights=counts / series.n, rates=counts / sums, m=len(counts),
+    counts = np.minimum(ends, n - 1) - starts + 1
+    sums = np.add.reduceat(series.values, starts)
+    return DeltaComb(weights=counts / n, rates=counts / sums, m=len(counts),
                      delta_t=delta_t, window_counts=counts, window_sums=sums)
 
 

@@ -154,6 +154,20 @@ def test_gen_rejects_non_finite_parameters(tmp_path, model):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["comb", "--dt", "5,5", "--grid", "1:30:30,lin"],
+    ["tikhonov", "--n", "40", "--h", "0.02", "--mu", "1e-3,1e-3,1e-3"],
+], ids=["dt", "mu"])
+def test_no_edge_warning_on_a_grid_of_one_value(tmp_path, capsys, argv):
+    # a grid whose values are all equal has no edge to warn about
+    data = tmp_path / "d.txt"
+    assert run(["gen", "--exp", "0.2", "--n", "3000", "--seed", "3",
+                "-o", str(data)]) == 0
+    capsys.readouterr()
+    assert run([*argv, "--input", str(data), "-o", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_survival_counting(tmp_path, capsys):
     data = tmp_path / "d.txt"
     data.write_text("1\n2\n3\n")

@@ -4,19 +4,19 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectrakit import (DurationSeries, MlParams, assemble_kernel, comb_survival,
                         empirical_survival, estimate_h, fit_comb, gen_mittag_leffler,
                         ks_pvalue, ml_survival, sweep_delta_t, sweep_mu)
-from spectrakit.delta_comb import (_CHUNK, _ULP_GAP, _candidate_ends, _ks_distance,
-                                   _sequential_sums, default_delta_t_grid,
-                                   write_comb_csv, write_delta_t_sweep_csv)
+from spectrakit.delta_comb import (_CHUNK, _ULP_GAP, _ks_distance, _window_ends,
+                                   default_delta_t_grid, write_comb_csv,
+                                   write_delta_t_sweep_csv)
 
 
 def test_constant_durations_hand_trace():
@@ -75,40 +75,62 @@ def test_window_identities():
     assert np.allclose(comb.weights, comb.window_counts / series.n, rtol=1e-15)
 
 
-def scan_windows(values, delta_t):
-    """Reference windowing: the sequential scan, one duration at a time."""
-    counts, sums = [], []
-    cur_n, cur_t = 0, 0.0
-    for tau in values:
-        cur_n += 1
-        cur_t += tau
-        if cur_t > delta_t:
-            counts.append(cur_n)
-            sums.append(cur_t)
-            cur_n, cur_t = 0, 0.0
-    if cur_n:
-        counts.append(cur_n)
-        sums.append(cur_t)
-    return np.array(counts, dtype=int), np.array(sums, dtype=float)
+def exact_windows(values, delta_t):
+    """Reference windowing, the paper's definition in exact arithmetic: add
+    the durations one by one and close a window once its sum exceeds
+    delta_t; a trailing run that never does is the last window.
+
+    Returns the counts and the Fraction sums.  Every float is a ratio
+    with a power-of-two denominator, so the running sums are kept as
+    integers over the largest one.
+    """
+    ratios = [x.as_integer_ratio() for x in [*values, float(delta_t)]]
+    den = max(d for _, d in ratios)
+    *steps, limit = [num * (den // d) for num, d in ratios]
+    counts, sums, count, total = [], [], 0, 0
+    for step in steps:
+        count += 1
+        total += step
+        if total > limit:
+            counts.append(count)
+            sums.append(Fraction(total, den))
+            count, total = 0, 0
+    if count:
+        counts.append(count)
+        sums.append(Fraction(total, den))
+    return counts, sums
 
 
-def assert_matches_scan(values, delta_t):
+def exact_ends(values, delta_t):
+    """Last index of each exact window, len(values) for a trailing run."""
+    counts, sums = exact_windows(values, delta_t)
+    ends = (np.cumsum(counts) - 1).tolist()
+    if sums[-1] <= Fraction(delta_t):
+        ends[-1] = len(values)
+    return ends
+
+
+def assert_matches_oracle(values, delta_t):
+    """fit_comb's stated contract: window counts equal the exact windows',
+    and each window sum is within 1e-14 relative of its exact sum."""
     series = DurationSeries.from_values(values)
-    counts, sums = scan_windows(series.values, delta_t)
+    counts, sums = exact_windows(series.values.tolist(), delta_t)
     comb = fit_comb(series, delta_t)
-    assert np.array_equal(comb.window_counts, counts)
-    assert np.array_equal(comb.window_sums, sums)
-    assert np.array_equal(comb.weights, counts / series.n)
-    assert np.array_equal(comb.rates, counts / sums)
+    assert comb.window_counts.tolist() == counts
+    for got, exact in zip(comb.window_sums.tolist(), sums):
+        assert abs(Fraction(got) - exact) <= Fraction(1e-14) * exact
+    assert np.array_equal(comb.weights, comb.window_counts / series.n)
+    assert np.array_equal(comb.rates, comb.window_counts / comb.window_sums)
+    return comb
 
 
 @st.composite
 def boundary_series(draw):
     """Multiples of 0.1, after an optional large lead, and a delta_t that
-    ties a run's sequential sum exactly or is itself a multiple of 0.1.
+    ties a run's float running sum or is itself a multiple of 0.1.
 
-    The lead makes prefix sums coarse, so that csum[j] - csum[i] and the
-    window's own running sum round to opposite sides of delta_t.
+    The lead makes prefix sums coarse, so that their differences round
+    across delta_t where the exact window sum does not.
     """
     lead = draw(st.sampled_from([[], [0.1], [7.3], [1e3], [1e6], [1e9 + 0.1]]))
     tenths = [k * 0.1 for k in draw(st.lists(st.integers(1, 30), min_size=1, max_size=80))]
@@ -125,9 +147,12 @@ def boundary_series(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(boundary_series())
+# 0.1 + 0.2 > 0.3 closes the first window; for the second, csum[1] + 0.3
+# rounds up to csum[2], so the prefix sums alone see a trailing run
+@example(([0.1, 0.2, 0.1 * 3], 0.3))
 def test_fit_comb_equals_sequential_scan_at_boundaries(case):
     values, delta_t = case
-    assert_matches_scan(values, delta_t)
+    assert_matches_oracle(values, delta_t)
 
 
 def test_fit_comb_equals_sequential_scan_on_random_series():
@@ -135,114 +160,54 @@ def test_fit_comb_equals_sequential_scan_on_random_series():
     for n in (1, 2, 3, 50, 5000):
         values = rng.exponential(3.0, n) + 1e-9
         for dt in (1e-3, 2.9, 30.0, 3.0 * n, 10.0 * n):
-            assert_matches_scan(values, dt)
+            assert_matches_oracle(values, dt)
 
 
-def test_fit_comb_equals_sequential_scan_past_one_row_per_block(monkeypatch):
-    # windows of 60k to 200k durations take rows of 2**16 to 2**18 columns,
-    # one row per block, and every row but the first would run past the end
-    # of the series, so starts earlier with its leading entries zeroed; the
-    # check alone must pass them
-    from spectrakit import delta_comb
-
-    def no_scan(values, *args):
-        raise AssertionError(f"scan resumed with {len(values)} durations left")
-
+def test_fit_comb_equals_sequential_scan_on_long_windows():
+    # windows of 60k to 200k durations, and a trailing run of the whole series
     values = np.random.default_rng(43).exponential(3.0, 200_000) + 1e-9
     total = math.fsum(values)
     for fraction in (0.3, 0.4, 0.7, 1.5):
-        with monkeypatch.context() as mp:
-            mp.setattr(delta_comb, "_scan", no_scan)
-            comb = fit_comb(DurationSeries.from_values(values), fraction * total)
+        comb = assert_matches_oracle(values, fraction * total)
         assert comb.window_counts.max() > 1 << 15
-        assert_matches_scan(values, fraction * total)
 
 
-def test_fit_comb_falls_back_to_the_scan(monkeypatch):
-    # 0.1 + 0.2 = 0.30000000000000004 > 0.3 closes the first window.  For
-    # the second, csum[1] + 0.3 rounds up to csum[2], so bisection sees a
-    # trailing run where the scan sees 0.1 * 3 > 0.3: the check fails and
-    # the scan resumes at index 2.
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.sampled_from([60.0, 100.0, 300.0]))
+# window sums land near a round delta_t, where prefix-sum differences and a
+# float running sum round across it: here the exact windows are 136, and a
+# one-by-one float scan finds 137
+@example(1000, 28, 60.0)
+def test_fit_comb_equals_sequential_scan_on_rounded_durations(n, seed, delta_t):
+    values = np.round(np.random.default_rng(seed).exponential(8.85, n), 2)
+    assert_matches_oracle(values[values > 0], delta_t)
+
+
+@pytest.mark.parametrize("delta_t, m", [(1.0, 201), (10.0, 21)])
+def test_exact_sums_bisect_the_band(monkeypatch, delta_t, m):
+    # after a 1e15 lead every prefix sum is 1e15 (0.01 is below half its
+    # ulp), so each window's band of uncertain ends is the rest of the series;
+    # the float 0.01 is just above 1/100, so 100 * delta_t of them exceed it
     from spectrakit import delta_comb
-    resumed = []
-    scan = delta_comb._scan
+    calls = []
+    exceeds = delta_comb._exceeds
 
-    def counting_scan(values, *args):
-        resumed.append(list(values))
-        return scan(values, *args)
+    def counting(values, start, stop, dt):
+        calls.append(start)
+        return exceeds(values, start, stop, dt)
 
-    monkeypatch.setattr(delta_comb, "_scan", counting_scan)
-    values = [0.1, 0.2, 0.1 * 3]
-    comb = fit_comb(DurationSeries.from_values(values), 0.3)
-    assert list(comb.window_counts) == [2, 1]
-    assert list(comb.window_sums) == [0.1 + 0.2, 0.1 * 3]
-    assert_matches_scan(values, 0.3)
-    assert resumed[0] == [0.1 * 3]
-    # a series whose every window passes never calls the scan
-    resumed.clear()
-    fit_comb(DurationSeries.from_values(np.ones(22)), 10.0)
-    assert resumed == []
-
-
-def assert_sums_match_cumsum(values, starts, counts):
-    """_sequential_sums against np.cumsum of each window on its own, to the bit."""
-    values = np.asarray(values, dtype=float)
-    starts, counts = np.asarray(starts), np.asarray(counts)
-    last, before = _sequential_sums(values, starts, counts)
-    for k, (start, count) in enumerate(zip(starts.tolist(), counts.tolist())):
-        partial = np.cumsum(values[start:start + count])
-        assert last[k].tobytes() == partial[-1].tobytes()
-        expected_before = partial[-2] if count > 1 else np.float64(0.0)
-        assert before[k].tobytes() == expected_before.tobytes()
-
-
-@st.composite
-def windows_on_a_series(draw):
-    """A partition of the series into windows, as fit_comb makes, plus a few
-    windows that end at its last value (rows that start earlier, zero-led)."""
-    values = draw(st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=300))
-    n = len(values)
-    cuts = sorted(set(draw(st.lists(st.integers(1, max(1, n - 1)), max_size=40))) - {n})
-    starts = [0, *cuts]
-    counts = np.diff([*starts, n]).tolist()
-    for count in draw(st.lists(st.integers(1, n), max_size=4)):
-        starts.append(n - count)
-        counts.append(count)
-    return values, starts, counts
-
-
-@settings(max_examples=300, deadline=None)
-@given(windows_on_a_series())
-def test_sequential_sums_equal_each_windows_cumsum(case):
-    assert_sums_match_cumsum(*case)
-
-
-@pytest.mark.parametrize("n, starts, counts", [
-    # the trailing partial window of 9 shares the 12's group, rows 12 wide:
-    # its row starts 3 values early, and that of the last 10 values 2 early
-    (21, [0, 12, 11], [12, 9, 10]),
-    # one window of all n values: the row is the whole series
-    (21, [0], [21]),
-    # one window of 16 sets the row width of its group; the 9s are shorter
-    (43, [0, 9, 18, 27], [9, 9, 9, 16]),
-], ids=["ends-at-the-last-value", "all-n-values", "one-long-window"])
-def test_sequential_sums_fixed_cases(n, starts, counts):
-    values = np.random.default_rng(53).exponential(3.0, n)
-    values[::7] *= 1e8          # coarse partial sums, where rounding order shows
-    assert_sums_match_cumsum(values, starts, counts)
-
-
-def unbounded_ends(csum, delta_t):
-    """Reference chase: one bisection over all remaining prefix sums per window."""
-    ends, start, base = [], 0, 0.0
-    while start < len(csum):
-        end = bisect_right(csum, base + delta_t, start)
-        ends.append(end)
-        if end == len(csum):
-            break
-        base = csum[end]
-        start = end + 1
-    return ends
+    monkeypatch.setattr(delta_comb, "_exceeds", counting)
+    values = np.concatenate(([1e15], np.full(20_000, 0.01)))
+    comb = assert_matches_oracle(values, delta_t)
+    assert comb.m == m
+    csum = np.cumsum(values)
+    slack = 4 * values.size * 2.0 ** -53 * csum[-1]
+    starts = np.concatenate(([0], np.cumsum(comb.window_counts)[:-1]))
+    for start in starts.tolist():
+        target = (csum[start - 1] if start else 0.0) + delta_t
+        band = np.count_nonzero(np.abs(csum[start:] - target) <= slack)
+        assert calls.count(start) <= math.ceil(math.log2(band + 1)) + 1
+    assert calls
 
 
 @settings(max_examples=200, deadline=None)
@@ -258,11 +223,11 @@ def test_bounded_chase_equals_the_unbounded_one_on_heavy_tails(n, seed, law, sha
     else:
         values = gen_mittag_leffler(MlParams(shape, 8.85), n, seed).values
     delta_t = math.fsum(values) * 10.0 ** log_fraction
-    assert_matches_scan(values, delta_t)
-    csum = memoryview(np.cumsum(values))
-    expected = unbounded_ends(csum, delta_t)
+    assert_matches_oracle(values, delta_t)
+    series = DurationSeries.from_values(values)
+    expected = exact_ends(series.values.tolist(), delta_t)
     for span in (1, 2, 16, n):
-        assert _candidate_ends(csum, delta_t, span) == expected
+        assert _window_ends(series, delta_t, span) == expected
 
 
 @pytest.mark.parametrize("delta_t, first_end", [(15.0, 15), (16.0, 16), (17.0, 17)])
@@ -271,20 +236,19 @@ def test_first_end_inside_at_and_past_the_span(delta_t, first_end):
     # the first window ends before, exactly at, or after start + span
     values = np.concatenate((np.ones(20), np.full(20, 1e4)))
     assert max(16, int(2 * delta_t / values.mean())) == 16
-    csum = memoryview(np.cumsum(values))
-    ends = _candidate_ends(csum, delta_t, 16)
+    ends = _window_ends(DurationSeries.from_values(values), delta_t, 16)
     assert ends[0] == first_end
-    assert ends == unbounded_ends(csum, delta_t)
-    assert_matches_scan(values, delta_t)
+    assert ends == exact_ends(values.tolist(), delta_t)
+    assert_matches_oracle(values, delta_t)
 
 
 def test_ends_at_n_and_trailing_windows():
     # start + span == n: the whole series is one trailing run
-    assert _candidate_ends(memoryview(np.cumsum(np.ones(16))), 100.0, 16) == [16]
-    assert_matches_scan(np.ones(16), 100.0)
+    assert _window_ends(DurationSeries.from_values(np.ones(16)), 100.0, 16) == [16]
+    assert_matches_oracle(np.ones(16), 100.0)
     # the last window closes on the last duration: no trailing run
-    assert _candidate_ends(memoryview(np.cumsum(np.ones(17))), 16.0, 16) == [16]
-    assert_matches_scan(np.ones(17), 16.0)
+    assert _window_ends(DurationSeries.from_values(np.ones(17)), 16.0, 16) == [16]
+    assert_matches_oracle(np.ones(17), 16.0)
     # three windows of six, then a trailing run of two
     comb = fit_comb(DurationSeries.from_values(np.ones(20)), 5.5)
     assert comb.window_counts.tolist() == [6, 6, 6, 2]
