@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -71,6 +71,20 @@ def _exceeds(values: np.ndarray, start: int, stop: int, delta_t: float) -> bool:
     return math.fsum([*values[start:stop].tolist(), -delta_t]) > 0
 
 
+def _narrow_band(values: np.ndarray, start: int, size: int, delta_t: float):
+    """lo <= j <= hi for the first j whose exact sum from start exceeds
+    delta_t (n if none), from local = np.cumsum(values[start:start + size]),
+    within err = 4 * size * u * local[-1] of the exact sums (as _window_ends'
+    slack); size doubles until local ends above delta_t + err or reaches n."""
+    while True:
+        local = np.cumsum(values[start:start + size])
+        err = 4 * local.size * 2.0 ** -53 * local[-1]
+        if local[-1] > delta_t + err or start + size >= values.size:
+            return (start + int(np.searchsorted(local, delta_t - err, "left")),
+                    start + int(np.searchsorted(local, delta_t + err, "right")))
+        size *= 2
+
+
 def _window_ends(series: DurationSeries, delta_t: float, span: int) -> list:
     """Last index of each window: the first j >= start whose exact sum
     values[start] + ... + values[j] exceeds delta_t; an end of n marks a
@@ -92,7 +106,8 @@ def _window_ends(series: DurationSeries, delta_t: float, span: int) -> list:
     while n * u is small, and slack = 4 * n * u * csum[-1] doubles that.
     So only an index whose prefix sum lies in [target - slack, target +
     slack] can sit on the wrong side of the target.  When a prefix sum next
-    to the bisected end does, that band is bisected on _exceeds.
+    to the bisected end does, that band can span the series: _narrow_band
+    narrows it on sums from start alone, and _exceeds bisects the rest.
     """
     values = series.values
     # memoryview items are Python floats; bisect compares a list's items
@@ -108,7 +123,7 @@ def _window_ends(series: DurationSeries, delta_t: float, span: int) -> list:
             end = bisect_right(csum, target, hi)
         low, high = target - slack, target + slack
         if (end < n and csum[end] <= high) or (end > start and csum[end - 1] >= low):
-            lo, hi = bisect_left(csum, low, start, end), bisect_right(csum, high, end)
+            lo, hi = _narrow_band(values, start, span, delta_t)
             while lo < hi:
                 mid = (lo + hi) // 2
                 if _exceeds(values, start, mid + 1, delta_t):
@@ -153,9 +168,9 @@ def fit_comb(series: DurationSeries, delta_t: float) -> DeltaComb:
                      delta_t=delta_t, window_counts=counts, window_sums=sums)
 
 
-# tau rows per exp block: a block holds at most _CHUNK x m floats (~2 MB at
-# m = 4,000, which stays in L2), whatever n_tau is
-_CHUNK = 64
+# tau rows of _psi_chunks' first block, and the fewest in any but the last; a
+# block of k live columns holds at most max(_BUDGET, _CHUNK * k) floats (L2)
+_CHUNK, _BUDGET = 64, 1 << 16
 # exp(x) is a normal float for x >= _NORMAL_ARG and exactly +0.0 for x <= _ZERO_ARG
 _NORMAL_ARG = -708.0
 _ZERO_ARG = -746.0
@@ -164,8 +179,15 @@ _ULP_GAP = 54 * math.log(2.0) + 1e-6
 
 
 def _psi_chunks(rates: np.ndarray, weights: np.ndarray, taus: np.ndarray):
-    """Yield (lo, psi[lo:lo+_CHUNK]) of sum_j weights_j * exp(-rates_j * tau),
+    """Yield (lo, psi[lo:lo+rows]) of sum_j weights_j * exp(-rates_j * tau),
     a comb's survival or synthetic.ml_survival's sum, on a 1-d tau grid.
+
+    The first block has _CHUNK rows, so an early exit there (_ks_distance)
+    reads no more; each later one doubles the last, up to max(_CHUNK, _BUDGET
+    // k) rows for the last block's k live columns.  Where the cut below
+    drops to -746, k grows: a block whose rows * k then pass max(_BUDGET,
+    _CHUNK * k) is recut to max(_CHUNK, _BUDGET // k) rows, which cannot
+    raise k again.
 
     Taus increase (as SurvivalCurve requires), so on a block a column's
     argument -lambda*tau is lowest at the last tau.  Blocks where every
@@ -187,29 +209,37 @@ def _psi_chunks(rates: np.ndarray, weights: np.ndarray, taus: np.ndarray):
     term under 2**-54 * w_j / W of the smallest rate's, so together they
     stay under 2**-54 * psi, below half its ulp.  A zero w_low or a
     negative weight turns this relative cut off.  Otherwise both cuts are
-    -746, which skips only exact zeros: psi is 0 exactly where the full
-    product np.exp(-np.outer(taus, rates)) @ weights is, and within 1e-14
-    relative of it (summed in rate order, not to the bit).
+    -746, which skips only exact zeros.  Each bound holds on every tau of
+    a block whatever its rows, so psi is 0 exactly where the full product
+    np.exp(-np.outer(taus, rates)) @ weights is, and within 1e-14 relative
+    of it (summed in rate order, not to the bit).
     """
     neg_rates, low, ordered = -rates, np.argmin(rates), False
     w_low = weights[low]
     gap = (_ULP_GAP + math.log(np.sum(weights)) - math.log(w_low)
            if w_low > 0 and np.min(weights) >= 0 else math.inf)
-    for lo in range(0, taus.size, _CHUNK):
-        t = taus[lo:lo + _CHUNK]
-        floor = weights[low] * np.exp(neg_rates[low] * t[-1])
-        cut = _NORMAL_ARG if floor >= 2.0 ** -967 else _ZERO_ARG
-        live = max(cut, t[0] * neg_rates[low] - gap) if cut == _NORMAL_ARG else cut
-        if not ordered and np.min(t[-1] * neg_rates) <= live:
-            order = np.argsort(rates, kind="stable")
-            neg_rates, weights, low, ordered = neg_rates[order], weights[order], 0, True
-        k = np.count_nonzero(t[0] * neg_rates > live)
+    lo, rows = 0, _CHUNK
+    while lo < taus.size:
+        while True:
+            t = taus[lo:lo + rows]
+            floor = weights[low] * np.exp(neg_rates[low] * t[-1])
+            cut = _NORMAL_ARG if floor >= 2.0 ** -967 else _ZERO_ARG
+            live = max(cut, t[0] * neg_rates[low] - gap) if cut == _NORMAL_ARG else cut
+            if not ordered and np.min(t[-1] * neg_rates) <= live:
+                order = np.argsort(rates, kind="stable")
+                neg_rates, weights, low, ordered = neg_rates[order], weights[order], 0, True
+            k = np.count_nonzero(t[0] * neg_rates > live)
+            if t.size * k <= max(_BUDGET, _CHUNK * k):
+                break
+            rows = max(_CHUNK, _BUDGET // k)
         j = np.count_nonzero(t[-1] * neg_rates[:k] > cut)
         block = np.outer(t, neg_rates[:k])
         band = block[:, j:]
         np.copyto(band, -np.inf, where=band <= cut)
         np.exp(block, out=block)
         yield lo, block @ weights[:k]
+        lo += t.size
+        rows = min(2 * rows, max(_CHUNK, _BUDGET // max(k, 1)))
 
 
 def comb_survival(comb: DeltaComb, taus) -> SurvivalCurve:

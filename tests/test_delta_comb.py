@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from spectrakit import (DurationSeries, MlParams, assemble_kernel, comb_survival,
                         empirical_survival, estimate_h, fit_comb, gen_mittag_leffler,
                         ks_pvalue, ml_survival, sweep_delta_t, sweep_mu)
-from spectrakit.delta_comb import (_CHUNK, _ULP_GAP, _ks_distance, _window_ends,
-                                   default_delta_t_grid, write_comb_csv,
+from spectrakit.delta_comb import (_CHUNK, _ULP_GAP, _ks_distance, _psi_chunks,
+                                   _window_ends, default_delta_t_grid, write_comb_csv,
                                    write_delta_t_sweep_csv)
 
 
@@ -210,6 +210,27 @@ def test_exact_sums_bisect_the_band(monkeypatch, delta_t, m):
     assert calls
 
 
+@pytest.mark.parametrize("lead, n", [(1e15, 20_000), (1e15, 60_000), (1e12, 200_000)])
+def test_exact_sums_read_each_window_about_once(monkeypatch, lead, n):
+    # after the lead, the band of uncertain ends spans the rest of the series
+    # (see above); narrowed on sums from each window's start, the exact sums
+    # read about n durations in all, where bisecting the whole band read
+    # 2.1M, 18.4M and 18.6M
+    from spectrakit import delta_comb
+    summed = []
+    exceeds = delta_comb._exceeds
+
+    def counting(values, start, stop, dt):
+        summed.append(stop - start)
+        return exceeds(values, start, stop, dt)
+
+    monkeypatch.setattr(delta_comb, "_exceeds", counting)
+    values = np.concatenate(([lead], np.full(n, 0.01)))
+    assert _window_ends(DurationSeries.from_values(values), 1.0, 16) == exact_ends(
+        values.tolist(), 1.0)
+    assert summed and sum(summed) <= 2 * n
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 400), st.integers(0, 2**32 - 1), st.sampled_from(["pareto", "ml"]),
        st.floats(0.3, 1.0), st.floats(-7.0, 0.5))
@@ -391,9 +412,14 @@ def test_sweep_keeps_each_rebuilt_curve():
         assert np.array_equal(sol.rebuilt.psi, comb_survival(sol.comb, taus).psi)
 
 
+def _block_starts(comb, taus):
+    """The first tau index of each block _psi_chunks evaluates."""
+    return [lo for lo, _ in _psi_chunks(comb.rates, comb.weights, np.asarray(taus, float))]
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
-       | st.integers(1, 3 * _CHUNK),
+@given(st.sampled_from([1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+       | st.integers(1, 20 * _CHUNK) | st.tuples(st.integers(1, 6), st.integers(-1, 1)),
        st.sampled_from([0.0, 1.0]) | st.floats(0.0, 100.0),
        st.floats(0.01, 50.0), st.integers(0, 2**32 - 1), st.integers(1, 300),
        st.floats(0.5, 200.0), st.sampled_from([1.0, 30.0, 1000.0]))
@@ -403,9 +429,15 @@ def test_early_exit_ks_equals_full_grid_max(n_tau, start, step, seed, n, dt_over
     rng = np.random.default_rng(seed)
     series = DurationSeries.from_values(
         rng.exponential(1.0, n) * 10.0 ** rng.uniform(0, 4, n) + 1e-9)
-    taus = start + step * np.arange(n_tau)
     dt = dt_over_mean * series.mean
     comb = fit_comb(series, dt)
+    if isinstance(n_tau, tuple):
+        # a grid that ends next to a block start of a longer one; every
+        # block but the last is the same on the prefixes of a grid
+        block, off = n_tau
+        starts = _block_starts(comb, start + step * np.arange(20 * _CHUNK))
+        n_tau = max(1, starts[min(block, len(starts) - 1)] + off)
+    taus = start + step * np.arange(n_tau)
     # rescaled data moves the largest gap, and so the early exit, past the
     # first chunk; the sweep scores against the curve it is given
     empirical = empirical_survival(
@@ -517,9 +549,10 @@ def comb_on_grid(draw):
     the cuts 708 and 746, between them, and across block boundaries (live
     in one block, skipped in the next), with columns on either side of the
     relative cut at a block start and the smallest rate's weight down to
-    1e-300, or 0."""
-    n_tau = draw(st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
-                 | st.integers(1, 4 * _CHUNK))
+    1e-300, or 0.  Grids run to 5 blocks; the block starts are those
+    _psi_chunks yields for the generic columns."""
+    n_tau = draw(st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 7 * _CHUNK + 1])
+                 | st.integers(1, 16 * _CHUNK))
     start = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 50.0))
     step = draw(st.sampled_from([0.25, 1.0]) | st.floats(0.01, 20.0))
     taus = start + step * np.arange(n_tau)
@@ -530,14 +563,14 @@ def comb_on_grid(draw):
                  if taus[-1] > 0 else [])
     # 745.13: the last product whose exp is not 0 (the smallest subnormal)
     targets = [708.0, 746.0, 745.13, draw(st.floats(708.0, 745.2))]
+    starts = _block_starts(_comb(rates or [1.0]), taus)
     positive = np.flatnonzero(taus > 0)
     if positive.size:
         for _ in range(draw(st.integers(0, 30))):
             product = draw(st.sampled_from(targets))
             if draw(st.booleans()):
                 # at or next to the last tau of a block
-                ends = np.arange(_CHUNK - 1, n_tau, _CHUNK)
-                k = int(draw(st.sampled_from(ends.tolist() or [n_tau - 1])))
+                k = int(draw(st.sampled_from([lo - 1 for lo in starts[1:]] or [n_tau - 1])))
                 k = min(n_tau - 1, max(int(positive[0]), k + draw(st.integers(-2, 2))))
             else:
                 k = int(draw(st.sampled_from(positive.tolist())))
@@ -545,7 +578,7 @@ def comb_on_grid(draw):
     if not rates:
         rates = [draw(st.floats(1e-3, 100.0))]
     # room for triples of columns around the relative cut, filled in below
-    block_starts = [k for k in range(0, n_tau, _CHUNK) if taus[k] > 0]
+    block_starts = [k for k in starts if taus[k] > 0]
     base = len(rates)
     order = rng.permutation(base + 3 * (draw(st.integers(0, 4)) if block_starts else 0))
     rates = np.concatenate((rates, np.full(order.size - base, np.inf)))[order]
@@ -590,33 +623,50 @@ def test_comb_survival_is_monotone_within_the_early_exit_margin(case):
 
 
 def test_class_thresholds_at_a_block_start():
-    # tau = 128 starts a block; a power of two makes lambda * tau exact, so the
-    # products sit on the cuts 708 and 746 and on 745.13, the last one whose
-    # exp is not 0 (the smallest subnormal)
-    taus = np.arange(0.0, 3 * _CHUNK + 7.0)
-    start = float(taus[(128 // _CHUNK) * _CHUNK])
-    for product in (708.0, 745.13, 746.0):
-        rate = _rate_hitting(product, start)
-        assert start * rate == product
-        for comb in (_comb([rate]), _comb([rate, 2.0, 1e-4])):
-            assert_close_to_oracle(comb, taus, comb_survival(comb, taus).psi)
-    assert comb_survival(_comb([745.13 / start]), [start]).psi[0] == 5e-324
+    # tau = 128 and 256 start blocks; a power of two makes lambda * tau exact,
+    # so the products sit on the cuts 708 and 746 and on 745.13, the last one
+    # whose exp is not 0 (the smallest subnormal)
+    taus = np.arange(64.0, 64.0 + 8 * _CHUNK)
+    for start in taus[_block_starts(_comb([1.0]), taus)[1:3]].tolist():
+        assert start in (128.0, 256.0)
+        for product in (708.0, 745.13, 746.0):
+            rate = _rate_hitting(product, start)
+            assert start * rate == product
+            for comb in (_comb([rate]), _comb([rate, 2.0, 1e-4])):
+                assert start in taus[_block_starts(comb, taus)]
+                assert_close_to_oracle(comb, taus, comb_survival(comb, taus).psi)
+        assert comb_survival(_comb([745.13 / start]), [start]).psi[0] == 5e-324
 
 
 def test_relative_cut_at_a_block_start():
     # every other column sits inside the relative cut of a low column of
-    # weight w at tau = 128, a block start, or on it or next to it: a cut
-    # that left out ln(W / w) would skip terms far above 2**-54 of psi
-    taus = np.arange(1.0, 3 * _CHUNK + 7.0)
-    start, low = 128.0, 1e-3
-    for w in (1e-280, 1e-100, 1e-20, 1e-3, 0.5):
-        gap = _ULP_GAP + math.log(1.0 + w) - math.log(w)
-        product = start * low + gap
-        rates = [low] + [_rate_hitting(product - off, start)
-                         for off in (0.0, 1.0, 10.0, 30.0, 0.5 * gap)]
-        rates += [np.nextafter(rates[1], 0.0), np.nextafter(rates[1], np.inf)]
-        comb = _comb(rates, np.array([w] + [1.0 / (len(rates) - 1)] * (len(rates) - 1)))
-        assert_close_to_oracle(comb, taus, comb_survival(comb, taus).psi)
+    # weight w at a block start, or on it or next to it: a cut that left out
+    # ln(W / w) would skip terms far above 2**-54 of psi
+    taus = np.arange(1.0, 1.0 + 8 * _CHUNK)
+    low = 1e-3
+    for start in taus[_block_starts(_comb([low]), taus)[1:]].tolist():
+        for w in (1e-280, 1e-100, 1e-20, 1e-3, 0.5):
+            gap = _ULP_GAP + math.log(1.0 + w) - math.log(w)
+            product = start * low + gap
+            rates = [low] + [_rate_hitting(product - off, start)
+                             for off in (0.0, 1.0, 10.0, 30.0, 0.5 * gap)]
+            rates += [np.nextafter(rates[1], 0.0), np.nextafter(rates[1], np.inf)]
+            comb = _comb(rates, np.array([w] + [1.0 / (len(rates) - 1)] * (len(rates) - 1)))
+            assert start in taus[_block_starts(comb, taus)]
+            assert_close_to_oracle(comb, taus, comb_survival(comb, taus).psi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(comb_on_grid())
+def test_blocks_tile_the_grid_from_a_chunk_sized_first_block(case):
+    # _ks_distance's first exit check reads the first _CHUNK rows, and no
+    # block but the last is shorter
+    comb, taus = case
+    sizes = [psi.size for _, psi in _psi_chunks(comb.rates, comb.weights, taus)]
+    assert sizes[0] == min(_CHUNK, taus.size)
+    assert _block_starts(comb, taus) == np.cumsum([0] + sizes[:-1]).tolist()
+    assert sum(sizes) == taus.size
+    assert min(sizes[:-1], default=_CHUNK) >= _CHUNK
 
 
 def test_comb_survival_memory_is_a_few_blocks():
@@ -632,6 +682,23 @@ def test_comb_survival_memory_is_a_few_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_comb_survival_memory_where_the_cut_drops():
+    # 300 columns the relative cut skips come live where the cut drops from
+    # -708 to -746 (0.5 * e**-tau below 2**-967, tau ~ 670), after blocks of
+    # one or two live columns have doubled to 3,276 rows: the next would hold
+    # 6,552 x 301 floats (15.8 MB), and is recut to _BUDGET // 301 rows
+    rates = np.concatenate(([1.0], np.linspace(1.08, 1.12, 300)))
+    comb = _comb(rates, np.concatenate(([0.5], np.full(300, 0.5 / 300))))
+    taus = 0.02 * np.arange(1, 40_001)
+    tracemalloc.start()
+    try:
+        comb_survival(comb, taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_estimate_h_default_margin():
