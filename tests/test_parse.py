@@ -1,11 +1,9 @@
 """The numpy parse of input lines gives float()'s bits, line numbers and errors."""
 
-import importlib.util
 import io
 import sys
 import tracemalloc
 from decimal import Decimal, localcontext
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +12,6 @@ from hypothesis import strategies as st
 
 from spectrakit import durations, load_durations
 from spectrakit.cli import main
-
-ROOT = Path(__file__).resolve().parent.parent
 
 # the default piece size, and one that cuts most lines across two pieces
 _CHUNKS = [durations._PARSE_CHUNK, 7]
@@ -129,26 +125,12 @@ def test_midpoints_reach_the_tie_fallback(monkeypatch):
     assert sum(fallen) >= 5
 
 
-def _child():
-    # perfbench/child.py, loaded once
-    if "perfbench_child" not in sys.modules:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sys, "path", list(sys.path))
-            spec = importlib.util.spec_from_file_location(
-                "perfbench_child", ROOT / "perfbench" / "child.py")
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-        sys.modules["perfbench_child"] = module
-    return sys.modules["perfbench_child"]
-
-
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("name", ["exp-50k", "ml-55k", "mix-250k-ts"])
-def test_bench_inputs_parse_as_line_by_line(tmp_path, name, seed):
-    child = _child()
-    wl = child.WORKLOADS[name]
+def test_bench_inputs_parse_as_line_by_line(tmp_path, bench_child, name, seed):
+    wl = bench_child.WORKLOADS[name]
     path = tmp_path / "in.txt"
-    child.generate(wl, wl.n, seed, str(path))
+    bench_child.generate(wl, wl.n, seed, str(path))
     with open(path, encoding="utf-8") as fh:
         want = _bits(np.fromiter(durations._parse_lines(fh), dtype=float))
     with open(path, encoding="utf-8") as fh:
