@@ -95,22 +95,20 @@ def _echo(args, pairs) -> None:
         print(f"# {key} = {value}")
 
 
-def _warn_if_edge(name: str, grid, best: int) -> None:
-    edge = {grid.min(): "lower", grid.max(): "upper"}.get(grid[best])
-    if grid.min() < grid.max() and edge:
-        print(f"warning: best {name} = {grid[best]:g} is at the {edge} edge of its "
-              f"{grid.size}-point grid", file=sys.stderr)
+def _warn_if_edge(sweep) -> None:
+    if sweep.edge:
+        print(f"warning: best {sweep.name} = {sweep.grid[sweep.best]:g} is at the "
+              f"{sweep.edge} edge of its {sweep.grid.size}-point grid", file=sys.stderr)
 
 
-def _plot_sweep(prefix, grid, solutions, best, empirical, *,
-                name, short, xlabel, title, label) -> None:
+def _plot_sweep(prefix, sweep, empirical, *, short, xlabel, title, label) -> None:
     """Write <prefix>_ks_vs_<short>.svg (KS p over the grid) and <prefix>_fit.svg."""
     _atomic_write(f"{prefix}_ks_vs_{short}.svg", lambda fh: svgplot.line_plot_svg(
-        [(grid, np.array([s.ks.p_value for s in solutions]), "KS probability")], fh,
-        title=f"KS probability vs {name}", xlabel=xlabel, ylabel="p", log_x=True))
+        [(sweep.grid, np.array([r.ks.p_value for r in sweep.results]), "KS probability")],
+        fh, title=f"KS probability vs {sweep.name}", xlabel=xlabel, ylabel="p", log_x=True))
     _atomic_write(f"{prefix}_fit.svg", lambda fh: svgplot.line_plot_svg(
         [(empirical.taus, empirical.psi, "empirical"),
-         (empirical.taus, solutions[best].rebuilt.psi, label)], fh,
+         (empirical.taus, sweep.pick.rebuilt.psi, label)], fh,
         title=title, xlabel="tau [s]", ylabel="Psi", log_y=True))
 
 
@@ -160,34 +158,32 @@ def cmd_tikhonov(args) -> None:
     series = _load_series(args)
     curve = empirical_survival(series, np.arange(1.0, args.n + 1))
     if args.auto_h:
-        dts = delta_comb.default_delta_t_grid(series)
-        results, best = delta_comb.sweep_delta_t(series, dts, curve)
-        _warn_if_edge("delta_t", dts, best)
-        h = delta_comb.estimate_h(results[best].comb, args.n)
+        dt_sweep = delta_comb.sweep_delta_t(
+            series, delta_comb.default_delta_t_grid(series), curve)
+        _warn_if_edge(dt_sweep)
+        h = delta_comb.estimate_h(dt_sweep.pick.comb, args.n)
     else:
         h = args.h
-    K = assemble_kernel(h, args.n)
-    solutions, best = tikhonov.sweep_mu(K, curve, mus)
-    sol = solutions[best]
+    mu_sweep = tikhonov.sweep_mu(assemble_kernel(h, args.n), curve, mus)
+    sol = mu_sweep.pick
 
     _atomic_write(args.out_prefix + "_sweep.csv",
-                  lambda fh: tikhonov.write_mu_sweep_csv(solutions, fh))
+                  lambda fh: tikhonov.write_mu_sweep_csv(mu_sweep.results, fh))
     _atomic_write(args.out_prefix + "_spectrum.csv",
                   lambda fh: tikhonov.write_spectrum_csv(sol.spectrum, fh))
     _atomic_write(args.out_prefix + "_survival.csv",
                   lambda fh: write_table(fh, "tau,psi_empirical,psi_rebuilt",
                                          "{:.12g},{:.6f},{:.6f}",
-                                         K.taus, curve.psi, sol.rebuilt.psi))
+                                         curve.taus, curve.psi, sol.rebuilt.psi))
     _echo(args, [("input", args.input), ("h", f"{h:g}"), ("n", args.n),
-                 ("mu_count", len(solutions)), ("best_mu", f"{sol.mu:g}"),
+                 ("mu_count", len(mu_sweep.results)), ("best_mu", f"{sol.mu:g}"),
                  ("ks_statistic", f"{sol.ks.statistic:.6g}"),
                  ("ks_pvalue", f"{sol.ks.p_value:.6g}"),
                  ("total_mass", f"{sol.spectrum.total_mass:.6g}"),
                  ("neg_mass", f"{sol.spectrum.negative_mass:.6g}")])
-    _warn_if_edge("mu", mus, best)
+    _warn_if_edge(mu_sweep)
     if args.plot:
-        _plot_sweep(args.out_prefix, mus, solutions, best, curve,
-                    name="mu", short="mu", xlabel="mu",
+        _plot_sweep(args.out_prefix, mu_sweep, curve, short="mu", xlabel="mu",
                     title="Rebuilt survival function", label=f"rebuilt mu={sol.mu:.3g}")
 
 
@@ -197,22 +193,21 @@ def cmd_comb(args) -> None:
            else delta_comb.default_delta_t_grid(series))
     empirical = empirical_survival(series, parse_value_list(args.grid) if args.grid
                                    else default_tau_grid(series))
-    results, best = delta_comb.sweep_delta_t(series, dts, empirical)
-    comb, report = results[best].comb, results[best].ks
+    dt_sweep = delta_comb.sweep_delta_t(series, dts, empirical)
+    comb, report = dt_sweep.pick.comb, dt_sweep.pick.ks
 
     _atomic_write(args.out_prefix + "_sweep.csv",
-                  lambda fh: delta_comb.write_delta_t_sweep_csv(results, fh))
+                  lambda fh: delta_comb.write_delta_t_sweep_csv(dt_sweep.results, fh))
     _atomic_write(args.out_prefix + "_comb.csv",
                   lambda fh: delta_comb.write_comb_csv(comb, fh))
-    _echo(args, [("input", args.input), ("dt_count", len(results)),
+    _echo(args, [("input", args.input), ("dt_count", len(dt_sweep.results)),
                  ("best_delta_t", f"{comb.delta_t:g}"), ("m", comb.m),
                  ("ks_statistic", f"{report.statistic:.6g}"),
                  ("ks_pvalue", f"{report.p_value:.6g}")])
-    _warn_if_edge("delta_t", dts, best)
+    _warn_if_edge(dt_sweep)
     if args.plot:
-        _plot_sweep(args.out_prefix, dts, results, best, empirical,
-                    name="delta_t", short="dt", xlabel="delta_t [s]",
-                    title="Delta-comb survival function",
+        _plot_sweep(args.out_prefix, dt_sweep, empirical, short="dt",
+                    xlabel="delta_t [s]", title="Delta-comb survival function",
                     label=f"comb dT={comb.delta_t:.3g}")
 
 

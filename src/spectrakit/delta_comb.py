@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .durations import DurationSeries, SurvivalCurve, write_table
-from .gof import KsReport, ks_pvalue, sweep
+from .gof import KsReport, Sweep, ks_report, sweep
 
 __all__ = [
     "DeltaComb",
@@ -283,20 +283,18 @@ def default_delta_t_grid(series: DurationSeries) -> np.ndarray:
     return np.geomspace(lo, hi, DELTA_T_GRID_POINTS)
 
 
-def sweep_delta_t(series: DurationSeries, dts, empirical: SurvivalCurve):
+def sweep_delta_t(series: DurationSeries, dts, empirical: SurvivalCurve) -> Sweep:
     """Fit a comb to ``series`` per delta_t and rank by KS p-value against
     ``empirical``, the data's survival curve, whose n_source (at least 1)
-    is the KS sample size.  Returns gof.sweep's (results, best_index), one
-    CombSolution per delta_t; ties in p-value go to the larger delta_t.
+    is the KS sample size.  Returns gof.sweep's Sweep of one CombSolution
+    per delta_t; ties in p-value go to the larger delta_t.
     """
     n_eff = max(empirical.n_source, 1)
 
     def one(dt) -> CombSolution:
         comb = fit_comb(series, dt)
-        d = _ks_distance(comb, empirical)
         return CombSolution(comb, empirical.taus,
-                            KsReport(statistic=d, p_value=ks_pvalue(d, n_eff),
-                                     n_eff=n_eff))
+                            ks_report(_ks_distance(comb, empirical), n_eff))
 
     return sweep("delta_t", dts, one)
 

@@ -390,7 +390,8 @@ def load_durations(source, mode: str = "durations",
         splits into lines as str.splitlines() does; a stream (anything
         with a ``read`` method, such as an open text file) is read in
         pieces and splits at '\n', and at a lone '\r' too once its
-        ``newlines`` attribute is set (a file opened with newline="").
+        ``newlines`` attribute is set (a file opened with newline=""); not
+        under newline="\r" or "\r\n", which TextIOWrapper does not expose.
         A bytes source, or bytes lines (a file opened in binary mode),
         are refused with TypeError.
     mode : {'durations', 'timestamps'}

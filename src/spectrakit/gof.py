@@ -9,8 +9,8 @@ import numpy as np
 
 from .durations import SurvivalCurve
 
-__all__ = ["KsReport", "ks_statistic", "ks_pvalue", "ks_compare", "check_grid",
-           "sweep"]
+__all__ = ["KsReport", "Sweep", "ks_statistic", "ks_pvalue", "ks_report", "ks_compare",
+           "check_grid", "sweep"]
 
 _SERIES_TOL = 1e-12
 _MAX_TERMS = 100
@@ -60,10 +60,14 @@ def ks_pvalue(d: float, n_eff: int) -> float:
     return 1.0
 
 
+def ks_report(d: float, n_eff: int) -> KsReport:
+    """Distance d with its ks_pvalue at sample size n_eff."""
+    return KsReport(statistic=d, p_value=ks_pvalue(d, n_eff), n_eff=int(n_eff))
+
+
 def ks_compare(a: SurvivalCurve, b: SurvivalCurve, n_eff: int) -> KsReport:
     """Statistic and p-value for two curves on the same grid."""
-    d = ks_statistic(a, b)
-    return KsReport(statistic=d, p_value=ks_pvalue(d, n_eff), n_eff=int(n_eff))
+    return ks_report(ks_statistic(a, b), n_eff)
 
 
 def check_grid(name: str, grid) -> np.ndarray:
@@ -83,15 +87,36 @@ def check_grid(name: str, grid) -> np.ndarray:
     return grid
 
 
-def sweep(name: str, grid, solve):
+@dataclass(frozen=True)
+class Sweep:
+    """gof.sweep's grid, results and best index; unpacks as (results, best)."""
+
+    name: str
+    grid: np.ndarray
+    results: list
+    best: int
+
+    def __getitem__(self, i):
+        return (self.results, self.best)[i]
+
+    @property
+    def pick(self):
+        return self.results[self.best]
+
+    @property
+    def edge(self):
+        """The end of the grid's range at the pick, "lower" or "upper", or None."""
+        lo, hi = self.grid.min(), self.grid.max()
+        return {lo: "lower", hi: "upper"}.get(self.grid[self.best]) if lo < hi else None
+
+
+def sweep(name: str, grid, solve) -> Sweep:
     """Run solve(v) for every v of a 1-d grid and pick the highest KS p-value.
 
-    The grid is checked by check_grid before any solve runs.  Returns
-    (results, best_index) with one result (anything with a ``ks``
-    KsReport) per grid value, in grid order; ties in p-value break
-    toward the larger grid value.
+    The grid is checked by check_grid before any solve runs.  Each result has
+    a ``ks`` KsReport; ties in p-value break toward the larger grid value.
     """
     grid = check_grid(name, grid)
     results = [solve(v) for v in grid]
     best = max(range(grid.size), key=lambda i: (results[i].ks.p_value, grid[i]))
-    return results, best
+    return Sweep(name, grid, results, best)

@@ -44,13 +44,14 @@ def check_kernel_size(n: int) -> None:
 
 def assemble_kernel(h: float, n: int) -> KernelMatrix:
     """Build the n x n kernel with lambda spacing h: entry (j, i) = exp(-h*i*j)."""
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"h must be finite and > 0, got {h}")
     check_kernel_size(n)
+    if not (h > 0 and math.isfinite(h * n)):
+        raise ValueError(f"h must be > 0 and h*n finite, got h = {h:g}, n = {n}")
     i = np.arange(1, n + 1)
-    # h * (i*j) with the integer product formed exactly keeps K symmetric to the bit
-    return KernelMatrix(entries=np.exp(-h * np.outer(i, i)),
-                        lambdas=h * i.astype(float), taus=i.astype(float))
+    # the exact integer i*j keeps K symmetric to the bit; an overflowed -h*i*j is -inf, exp 0
+    with np.errstate(over="ignore"):
+        entries = np.exp(-h * np.outer(i, i))
+    return KernelMatrix(entries=entries, lambdas=h * i.astype(float), taus=i.astype(float))
 
 
 def conditioning_ratio(K: KernelMatrix) -> float:

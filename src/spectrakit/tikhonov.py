@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .durations import SurvivalCurve, write_table
-from .gof import KsReport, check_grid, ks_pvalue, sweep
+from .gof import KsReport, Sweep, check_grid, ks_report, sweep
 from .kernel import KernelMatrix
 
 __all__ = [
@@ -110,8 +110,7 @@ def solve_tikhonov(K, psi, mu: float) -> TikhonovSolution:
     ``psi`` must be sampled on the kernel's tau grid.  This is sweep_mu
     at the single value mu; see there for the KS report.
     """
-    solutions, _ = sweep_mu(K, psi, [mu])
-    return solutions[0]
+    return sweep_mu(K, psi, [mu]).pick
 
 
 def default_mu_grid() -> np.ndarray:
@@ -119,32 +118,31 @@ def default_mu_grid() -> np.ndarray:
     return np.geomspace(1e-6, 1e2, 200)
 
 
-def sweep_mu(K, psi, mus):
+def sweep_mu(K, psi, mus) -> Sweep:
     """Solve for every mu from one SVD of K and rank by KS p-value.
 
     With K = U diag(s) V^T and c = U^T psi, the minimizer for any mu is
     g = V diag(s / (s^2 + mu)) c (the filter-factor form).  ``psi`` is a
     SurvivalCurve or an array on the kernel's tau grid; its n_source (at
-    least 1) is the KS sample size.  Returns gof.sweep's (solutions,
-    best_index); ties in p-value go to the larger mu (stronger
+    least 1) is the KS sample size.  Returns gof.sweep's Sweep of one
+    TikhonovSolution per mu; ties in p-value go to the larger mu (stronger
     regularization).  Each mu's D and p come from K g as gof.ks_compare's would.
     """
     K, psi = _records(K, psi)
     mus = check_grid("mu", mus)
-    n_eff = int(max(psi.n_source, 1))
+    n_eff = max(psi.n_source, 1)
 
     U, s, Vt = np.linalg.svd(K.entries, full_matrices=False)
     c = U.T @ psi.psi
 
     def solve(mu) -> TikhonovSolution:
         g = Vt.T @ (s / (s * s + mu) * c)
-        r = K.entries @ g
-        d = float(np.max(np.abs(r - psi.psi)))
+        d = float(np.max(np.abs(K.entries @ g - psi.psi)))
         if not math.isfinite(d):
             raise ValueError("taus and psi must be finite")
         return TikhonovSolution(mu=float(mu),
                                 spectrum=SpectrumGrid.from_arrays(K.lambdas, g),
-                                kernel=K, ks=KsReport(d, ks_pvalue(d, n_eff), n_eff))
+                                kernel=K, ks=ks_report(d, n_eff))
 
     return sweep("mu", mus, solve)
 

@@ -1,5 +1,6 @@
 """The public names: every __all__ entry resolves, every function the
-benchmark's tracer wraps exists, and the runtime imports numpy alone."""
+benchmark's tracer wraps exists and its counters read what the library
+returns, and the runtime imports numpy alone."""
 
 import importlib
 import importlib.util
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spectrakit
@@ -28,16 +30,28 @@ def test_module_all_resolves(name):
     assert [n for n in names if not hasattr(module, n)] == []
 
 
-def test_traced_functions_exist():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
                                                   ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_functions_exist():
+    tracer = _tracer()
     assert tracer.TRACED
     missing = [(module, func) for module, func, *_ in tracer.TRACED
                if not callable(getattr(importlib.import_module(f"spectrakit.{module}"),
                                        func, None))]
     assert missing == []
+
+
+def test_tracer_counts_a_mu_sweep():
+    # the traced bench reads sweep_mu's result as (solutions, best)
+    sweep = spectrakit.sweep_mu(spectrakit.assemble_kernel(0.05, 10),
+                                np.exp(-0.1 * np.arange(1.0, 11.0)), [1e-3, 1e-1])
+    assert _tracer()._count_failed_mu(None, {}, sweep) == 0
 
 
 def test_runtime_imports_numpy_alone():

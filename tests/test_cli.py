@@ -385,9 +385,19 @@ def test_tikhonov_rejects_bad_h(tmp_path):
     raw = tmp_path / "d.txt"
     raw.write_text("1\n2\n3\n")
     prefix = str(tmp_path / "tk")
-    for h in ("-1", "nan", "inf"):
+    for h in ("-1", "nan", "inf", "1e308"):  # 1e308 * 196 is past the float range
         assert run(["tikhonov", "--input", str(raw), "--h", h, "-o", prefix]) == 1
         assert not (tmp_path / "tk_sweep.csv").exists()
+
+
+def test_tikhonov_kernel_products_past_the_float_range_are_zero(tmp_path):
+    # most h*i*j overflow: exp(-inf) is 0 exactly, with no numpy overflow
+    # warning (which pytest would turn into a failure)
+    raw = tmp_path / "d.txt"
+    raw.write_text("1\n2\n3\n")
+    prefix = str(tmp_path / "tk")
+    assert run(["tikhonov", "--input", str(raw), "--h", "1e305", "-o", prefix]) == 0
+    assert "inf" not in (tmp_path / "tk_spectrum.csv").read_text()
 
 
 def test_comb_constant_durations(tmp_path):

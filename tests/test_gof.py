@@ -161,3 +161,29 @@ def test_sweep_rejects_bad_grid_before_any_solve(grid, message):
     with pytest.raises(ValueError, match=message):
         sweep("mu", grid, solve)
     assert calls == []
+
+
+def test_sweep_unpacks_and_indexes_as_results_and_best():
+    solve, _ = _stub_solve({1.0: 0.2, 2.0: 0.7, 3.0: 0.1})
+    record = sweep("x", [1.0, 2.0, 3.0], solve)
+    results, best = record
+    assert (results, best) == (record.results, record.best) == (record[0], record[1])
+    assert best == 1 and record.pick is results[1]
+    assert record.name == "x" and record.grid.tolist() == [1.0, 2.0, 3.0]
+    with pytest.raises(IndexError):
+        record[2]
+
+
+@pytest.mark.parametrize("grid, p_of, edge", [
+    ([1.0, 2.0, 3.0], {1.0: 0.9, 2.0: 0.5, 3.0: 0.1}, "lower"),
+    ([1.0, 2.0, 3.0], {1.0: 0.1, 2.0: 0.5, 3.0: 0.9}, "upper"),
+    ([1.0, 2.0, 3.0], {1.0: 0.1, 2.0: 0.9, 3.0: 0.5}, None),
+    ([3.0, 2.0, 1.0], {1.0: 0.9, 2.0: 0.5, 3.0: 0.1}, "lower"),
+    ([3.0, 2.0, 1.0], {1.0: 0.1, 2.0: 0.5, 3.0: 0.9}, "upper"),
+    ([2.0, 3.0, 1.0], {1.0: 0.1, 2.0: 0.9, 3.0: 0.5}, None),
+    ([2.0], {2.0: 0.5}, None),
+    ([2.0, 2.0, 2.0], {2.0: 0.5}, None),
+])
+def test_sweep_edge_is_the_end_of_the_grid_range_at_the_pick(grid, p_of, edge):
+    solve, _ = _stub_solve(p_of)
+    assert sweep("x", grid, solve).edge == edge
