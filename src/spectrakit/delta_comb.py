@@ -275,11 +275,15 @@ DELTA_T_GRID_POINTS = 30
 
 
 def default_delta_t_grid(series: DurationSeries) -> np.ndarray:
-    """Log-spaced 30-point delta_t sweep spanning windows of ~10 to ~n/5 events."""
+    """Log-spaced 30-point delta_t sweep spanning windows of ~10 to ~n/5 events;
+    ValueError where its top end is not finite."""
     lo = 10.0 * series.mean
     hi = series.n * series.mean / 5.0
     if hi <= lo:
         hi = 2.0 * lo
+    if not math.isfinite(hi):
+        raise ValueError(f"mean = {series.mean:g} puts the default delta_t grid past the "
+                         "float range; give an explicit grid with --dt")
     return np.geomspace(lo, hi, DELTA_T_GRID_POINTS)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, islice
+from itertools import compress, count, islice
 
 import numpy as np
 
@@ -98,12 +98,12 @@ class SurvivalCurve:
         object.__setattr__(self, "psi", psi)
 
 
-def _parse_lines(lines, start: int = 1):
+def _parse_lines(lines, numbers=None):
     """Yield the finite float on every data line, skipping '#' comments.
 
-    ``start`` is the number of the first line, for error messages.
+    ``numbers`` gives each line's number for error messages (1, 2, ... if None).
     """
-    for lineno, raw in enumerate(lines, start=start):
+    for raw, lineno in zip(lines, count(1) if numbers is None else numbers):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -128,18 +128,14 @@ _PARSE_LINES = 16_384
 _LD_BITS = 64 if (np.finfo(np.longdouble).nmant, np.dtype(np.longdouble).itemsize) == (
     63, 16) else 53
 
-# the most digits of a line converted in numpy; as many '0' bytes go before
-# each piece, so that the three 8-byte words before any line end are in it
-_PAD = 24
+# the most digits of a line converted in numpy, so its mantissa is below 2**64;
+# they span three 8-byte words, whose 24 bytes go as '0's before each piece
+_DIGITS, _PAD = 19, 24
 
-# 10**q, exact as a double for q <= 22 and as a 64-bit longdouble for q < 28
-_POW10 = 10.0 ** np.arange(_PAD)
-_POW10_LD = (np.array([5 ** q for q in range(_PAD)], np.uint64).astype(np.longdouble)
-             * 2.0 ** np.arange(_PAD))
-# 10**min(q, 19), and 10**(19 - q) (1 from q = 19 on): an integer part below
-# it keeps the mantissa of a line with q decimals under 10**19
-_SCALE = np.array([10 ** min(q, 19) for q in range(_PAD)], np.uint64)
-_LIMIT = np.array([10 ** max(19 - q, 0) for q in range(_PAD)], np.uint64)
+# 10**q for q <= 19: as uint64, as a double and as a longdouble, all exact
+_SCALE = np.array([10 ** q for q in range(_DIGITS + 1)], np.uint64)
+_POW10 = _SCALE.astype(float)
+_POW10_LD = _SCALE.astype(np.longdouble)
 
 # _MASKS[k]: the digit nibbles of the last k bytes of a little-endian 8-byte word
 _MASKS = np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - k) << 8 * (8 - k) for k in range(9)],
@@ -203,7 +199,7 @@ def _joined(lines):
     """Pieces of str lines, each ended by '\n', _PARSE_LINES lines at a time.
 
     A trailing '\n' comes off every line first if some line has one.  A chunk
-    in which a line still holds a '\n' stays a list, for _float_piece.
+    in which a line still holds a '\n' stays a list, for _floats.
     """
     lines = iter(lines)
     while chunk := list(islice(lines, _PARSE_LINES)):
@@ -218,7 +214,7 @@ def _joined(lines):
 
 
 def _number(words, end, size):
-    """The uint64 number each run of size <= 24 digits ending at byte end spells,
+    """The uint64 number each run of size <= 19 digits ending at byte end spells,
     read 8 digits a time from the unaligned uint64 view ``words``."""
     k8 = np.arange(8, 8 * -(-size.max(initial=0) // 8) + 1, 8)[:, None]
     w = words[end - k8]
@@ -231,41 +227,40 @@ def _number(words, end, size):
     w &= 0x0000FFFF0000FFFF
     w *= 42949672960001                     # 10**4 * 2**32 + 1
     w >>= 32
-    long = len(w) == 3 and w[2] >= 1000     # 10**19 or more
     n = w[-1] if len(w) else np.zeros(size.size, np.uint64)
     for row in w[-2::-1]:
         n *= 10 ** 8
         n += row
-    return n, long
+    return n
 
 
-def _exact(m, q, long):
-    """m / 10**q rounded once to the nearest double, for uint64 m and q < 24,
-    and the indices of the quotients that float() must give instead.
+def _exact(m, q):
+    """m / 10**q rounded once to the nearest double, for uint64 m < 10**19 and
+    q <= 19, and the indices of the quotients that float() must give instead.
 
-    The quotient is exact by construction where m <= 2**53 and q <= 22
-    (Clinger), and is otherwise a 64-bit longdouble quotient rounded once
-    more.  That second rounding is wrong only from a double midpoint, where
-    the 64-bit significand ends in a 1 and ten 0s, above or below a power of
-    two alike.  Those quotients, every other one where longdouble is not the
-    64-bit type, and the ``long`` ones are the indices returned.
+    The quotient is exact by construction where m <= 2**53 (Clinger: m and
+    10**q are exact doubles), and is otherwise a 64-bit longdouble quotient
+    rounded once more.  That second rounding is wrong only from a double
+    midpoint, where the 64-bit significand ends in a 1 and ten 0s, above or
+    below a power of two alike.  Those quotients, and every other one where
+    longdouble is not the 64-bit type, are the indices returned.
     """
     v = m.astype(float)
     v /= _POW10[q]
-    hard = np.flatnonzero((m > 2 ** 53) | (q > 22) | long)
+    hard = np.flatnonzero(m > 2 ** 53)
     if hard.size and _LD_BITS == 64:
         x = m[hard].astype(np.longdouble) / _POW10_LD[q[hard]]
         v[hard] = x
-        tie = (x.view(np.uint64)[::2] & 0x7FF) == 0x400
-        hard = hard[tie | long[hard]]
+        hard = hard[(x.view(np.uint64)[::2] & 0x7FF) == 0x400]
     return v, hard
 
 
-def _floats(texts):
+def _floats(texts, numbers):
     """float() of the data lines among the texts in one pass, as the raw texts
     (float() strips what str.strip() strips) or else as stripped lines without
-    blank and '#' ones, with a mask of the data lines (None for all); None if a
-    data line does not parse or is not finite."""
+    blank and '#' ones, with a mask of the data lines (None for all).  A data
+    line that does not parse or is not finite raises _parse_lines's error, with
+    its number from ``numbers``."""
     try:
         values, keep = np.fromiter(map(float, texts), float, len(texts)), None
     except ValueError:
@@ -274,8 +269,10 @@ def _floats(texts):
         try:
             values = np.fromiter(map(float, compress(lines, keep)), float)
         except ValueError:
-            return None
-    return (values, keep) if np.isfinite(values).all() else None
+            values = None
+    if values is None or not np.isfinite(values).all():
+        np.fromiter(_parse_lines(texts, numbers), float)  # raises for the first bad line
+    return values, keep
 
 
 def _parse_piece(piece: str, start: int):
@@ -283,12 +280,12 @@ def _parse_piece(piece: str, start: int):
     and whether more than a third of its lines went to float().
 
     Lines are split at '\n', and blank and '#' lines are skipped.  Every line
-    of the form [0-9]+(\\.[0-9]+)? of at most 24 digits is converted in numpy:
+    of the form [0-9]+(\\.[0-9]+)? of at most 19 digits is converted in numpy:
     an integer part I and q decimals F, each packed from its digits 8 at a
-    time, give the mantissa I * 10**q + F that _exact divides.  The lines
-    whose quotient _exact leaves to float(), and the piece's other lines, are
-    sliced out for one _floats pass.  A piece goes through _float_piece whole
-    if one of those lines fails it; ``start`` is the number of its first line.
+    time, give the mantissa I * 10**q + F < 10**19 that _exact divides.  The
+    lines whose quotient _exact leaves to float(), and the piece's other lines,
+    are sliced out for one _floats pass, which raises the error of a line that
+    fails; ``start`` is the number of the piece's first line.
     """
     raw = piece.encode("ascii", "replace")  # one byte per character
     if not raw.endswith(b"\n"):
@@ -306,19 +303,17 @@ def _parse_piece(piece: str, start: int):
     p = np.where(has, nd[nl - 1], ends)
     q = ends - p - has
     odd = (others > has) | (p == starts) & has | (q == 0) & has
-    odd |= ends - starts - has > _PAD
+    odd |= ends - starts - has > _DIGITS
     plain = ~odd & (ends > starts)
     if odd.any():
         odd &= b[starts] != ord("#")
 
     words = np.ndarray((b.size - 7,), "<u8", b, strides=(1,))
     p, q = p[plain], q[plain]
-    i, long_i = _number(words, p, p - starts[plain])
-    f, long_f = _number(words, ends[plain], q)
-    long = long_i | long_f | (i >= _LIMIT[q])
-    i *= _SCALE[q]
-    i += f
-    values, hard = _exact(i, q, long)
+    m = _number(words, p, p - starts[plain])
+    m *= _SCALE[q]
+    m += _number(words, ends[plain], q)
+    values, hard = _exact(m, q)
     if hard.size:  # to float() with the other lines
         k = np.flatnonzero(plain)[hard]
         plain[k], odd[k] = False, True
@@ -327,25 +322,15 @@ def _parse_piece(piece: str, start: int):
         return values, ends.size, False
 
     ks = np.flatnonzero(odd)
-    got = _floats([piece[i:j] for i, j in zip((starts[ks] - _PAD).tolist(),
-                                              (ends[ks] - _PAD).tolist())])
-    if got is None:  # a line that fails: line by line, for its error
-        return (*_float_piece(piece.removesuffix("\n").split("\n"), start), True)
+    got, keep = _floats([piece[i:j] for i, j in zip((starts[ks] - _PAD).tolist(),
+                                                    (ends[ks] - _PAD).tolist())],
+                        (ks + start).tolist())
     out = np.empty(ends.size)
     out[plain] = values
-    if got[1] is not None:
-        odd[ks[~got[1]]] = False
-    out[odd] = got[0]
+    if keep is not None:
+        odd[ks[~keep]] = False
+    out[odd] = got
     return out[plain | odd], ends.size, ks.size * 3 > ends.size
-
-
-def _float_piece(lines: list, start: int):
-    """The numbers _parse_lines yields for the lines, from one _floats pass, or
-    else line by line for the error, and their count."""
-    got = _floats(lines)
-    if got is None:
-        return np.fromiter(_parse_lines(lines, start), dtype=float), len(lines)
-    return got[0], len(lines)
 
 
 def _parse_numbers(source) -> np.ndarray:
@@ -357,7 +342,7 @@ def _parse_numbers(source) -> np.ndarray:
     lines (joined _PARSE_LINES at a time), one line per item; a line that is
     not str is refused with TypeError.  Each piece goes through _parse_piece,
     and every piece after one in which over a third of the lines went to
-    float(), and every list of _joined, through _float_piece.
+    float(), and every list of _joined, through one _floats pass whole.
     """
     if isinstance(source, str):
         chunks = range(0, len(source), _PARSE_CHUNK)
@@ -371,11 +356,11 @@ def _parse_numbers(source) -> np.ndarray:
         if floats and isinstance(piece, str):  # over a third went to float() last time
             piece = piece.removesuffix("\n").split("\n")
         if isinstance(piece, list):
-            part, count = _float_piece(piece, start)
+            part, lines = _floats(piece, range(start, start + len(piece)))[0], len(piece)
         else:
-            part, count, floats = _parse_piece(piece, start)
+            part, lines, floats = _parse_piece(piece, start)
         parts.append(part)
-        start += count
+        start += lines
     return np.concatenate(parts) if parts else np.empty(0)
 
 
@@ -431,12 +416,10 @@ def default_tau_grid(series: DurationSeries) -> np.ndarray:
 
     Raises ValueError when that grid would exceed 10,000,000 points.
     """
-    points = math.ceil(series.max)
-    if points > MAX_GRID_POINTS:
-        raise ValueError(
-            f"tau_max = {series.max:g} needs a {points}-point default tau grid "
-            f"(limit {MAX_GRID_POINTS}); give an explicit grid with --grid")
-    return np.arange(1.0, points + 1.0)
+    if series.max > MAX_GRID_POINTS:
+        raise ValueError(f"tau_max = {series.max:g} needs a default tau grid of more than "
+                         f"{MAX_GRID_POINTS} points; give an explicit grid with --grid")
+    return np.arange(1.0, math.ceil(series.max) + 1.0)
 
 
 def empirical_survival(series: DurationSeries, taus) -> SurvivalCurve:

@@ -555,6 +555,12 @@ def test_oversize_sizes_are_refused_up_front(tmp_path, capsys, argv, message):
     (["survival"], ["1e308"] * 3, "error: the total of the durations overflows"),
     (["comb"], ["1e308"] * 3, "error: the total of the durations overflows"),
     (["tikhonov", "--auto-h"], ["1e308"] * 3, "error: the total of the durations overflows"),
+    (["comb", "--grid", "1,2"], ["1e307"] * 2,
+     "error: mean = 1e+307 puts the default delta_t grid past the float range; "
+     "give an explicit grid with --dt"),
+    (["tikhonov", "--auto-h"], ["1e308"],
+     "error: mean = 1e+308 puts the default delta_t grid past the float range; "
+     "give an explicit grid with --dt"),
     (["comb"], ["1e-320", "2e-320", "5e-324"],
      "error: durations must be at least 2.23e-308 s, got 4.94e-324"),
     (["survival", "--mode", "timestamps"], ["-1e308", "1e308"],
@@ -566,8 +572,8 @@ def test_oversize_sizes_are_refused_up_front(tmp_path, capsys, argv, message):
     (["gen", "--ml", "--beta", "0.01", "--n", "5000"], None,
      "error: beta = 0.01 is too small: the draw's factor "
      "(sin b pi / tan b pi V - cos b pi)^(1/b) overflows"),
-], ids=["survival-sum", "comb-sum", "tikhonov-sum", "comb-subnormal", "timestamps-diff",
-        "gen-exp", "gen-ml", "gen-ml-beta"])
+], ids=["survival-sum", "comb-sum", "tikhonov-sum", "comb-dt-grid", "tikhonov-dt-grid",
+        "comb-subnormal", "timestamps-diff", "gen-exp", "gen-ml", "gen-ml-beta"])
 def test_extreme_durations_end_in_one_error_line(tmp_path, capsys, argv, lines, message):
     # pytest turns any numpy warning on the way into a failure
     if lines is not None:

@@ -727,6 +727,13 @@ def test_default_delta_t_grid_brackets():
     assert grid[-1] == pytest.approx(series.n * series.mean / 5)
 
 
+@pytest.mark.parametrize("values", [[1e307, 1e307], [1e308]])
+def test_default_delta_t_grid_refuses_an_end_past_the_float_range(values):
+    # 2 * 10 * mean, or 10 * mean, is inf: refused before numpy warns
+    with pytest.raises(ValueError, match=r"^mean = 1e\+30[78] .*--dt$"):
+        default_delta_t_grid(DurationSeries.from_values(values))
+
+
 def test_comb_csv_roundtrip():
     rng = np.random.default_rng(27)
     series = DurationSeries.from_values(rng.exponential(2.0, 200))

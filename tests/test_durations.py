@@ -126,9 +126,9 @@ def _count_floats(mp):
     calls = []
     floats = durations._floats
 
-    def counting(strings):
+    def counting(strings, numbers):
         calls.append(len(strings))
-        return floats(strings)
+        return floats(strings, numbers)
 
     mp.setattr(durations, "_floats", counting)
     return calls
@@ -331,6 +331,9 @@ def test_default_tau_grid():
     assert default_tau_grid(DurationSeries.from_values([1e7])).size == 10_000_000
     with pytest.raises(ValueError, match=r"tau_max = 1e\+07.*--grid"):
         default_tau_grid(DurationSeries.from_values([1e7 + 0.5]))
+    # the limit is stated, not the 301-digit point count
+    with pytest.raises(ValueError, match=r"^tau_max = 1e\+300 .{,120}--grid$"):
+        default_tau_grid(DurationSeries.from_values([1e300]))
 
 
 @pytest.mark.parametrize("rows", [0, 1, _TABLE_ROWS - 1, _TABLE_ROWS, _TABLE_ROWS + 1,

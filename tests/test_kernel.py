@@ -77,6 +77,13 @@ def test_conditioning_ratio_trivial_cases():
     assert conditioning_ratio(assemble_kernel(math.log(2), 2)) == pytest.approx(8.0, rel=1e-12)
 
 
+def test_conditioning_ratio_past_the_float_range():
+    # no entry quotient: the smallest entry underflows, or h * n * n overflows exp
+    assert conditioning_ratio(assemble_kernel(0.05, 196)) == math.inf
+    assert conditioning_ratio(assemble_kernel(1000.0, 1)) == 1.0
+    assert conditioning_ratio(assemble_kernel(1000.0, 2)) == math.inf
+
+
 def test_conditioning_ratio_matches_formula():
     for h, n in [(0.0015, 196), (0.01, 50), (0.2, 10)]:
         K = assemble_kernel(h, n)

@@ -1,6 +1,7 @@
 """The numpy parse of input lines gives float()'s bits, line numbers and errors."""
 
 import io
+import re
 import sys
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -115,9 +116,9 @@ def test_midpoints_reach_the_tie_fallback(monkeypatch):
     fallen = []
     exact = durations._exact
 
-    def recording(m, q, long):
-        v, hard = exact(m, q, long)
-        fallen.extend(~long[hard])
+    def recording(m, q):
+        v, hard = exact(m, q)
+        fallen.append(hard.size)
         return v, hard
 
     monkeypatch.setattr(durations, "_exact", recording)
@@ -274,17 +275,62 @@ def test_other_lines_take_one_float_pass_per_piece(monkeypatch, share):
         load_durations("\n".join(["# h", *lines[:3000], "1e400", *lines[3000:]]))
 
 
+def test_plain_lines_past_19_digits_take_the_float_pass(monkeypatch):
+    # numpy packs mantissas of at most 19 digits; longer plain lines go to
+    # _floats with the piece's other lines, and give float()'s bits
+    rng = np.random.default_rng(29)
+    lines = []
+    for digits in range(20, 25):
+        for cut in range(1, digits + 1):  # the '.' after `cut` digits, none at the end
+            s = "".join(map(str, rng.integers(0, 10, digits)))
+            lines.append(s if cut == digits else s[:cut] + "." + s[cut:])
+    texts = []
+    floats = durations._floats
+
+    def recording(strings, numbers):
+        texts.extend(strings)
+        return floats(strings, numbers)
+
+    monkeypatch.setattr(durations, "_floats", recording)
+    got = durations._parse_numbers("1.5\n" + "\n".join(lines) + "\n")
+    assert _bits(got) == _bits([1.5] + [float(line) for line in lines])
+    assert texts == lines
+
+
+def test_an_error_is_found_among_the_other_lines_alone(monkeypatch):
+    # a bad line of a piece of mostly plain lines is reported with its number
+    # from the piece's other lines alone: no plain line is parsed again
+    values = np.random.default_rng(8).exponential(12.0, 4000).tolist()
+    lines = [_other(v, i) if i % 4 == 0 else repr(v) for i, v in enumerate(values)]
+    lines[3000] = "1e400"
+    seen = []
+    parse_lines = durations._parse_lines
+
+    def recording(texts, numbers=None):
+        seen.append(list(texts))
+        return parse_lines(seen[-1], numbers)
+
+    monkeypatch.setattr(durations, "_parse_lines", recording)
+    with pytest.raises(ValueError, match=r"^line 3002: '1e400' is not a finite number$"):
+        load_durations("# h\n" + "\n".join(lines) + "\n")
+    plain = re.compile(r"[0-9]+(\.[0-9]+)?")
+    others = [line for line in lines
+              if not (plain.fullmatch(line) and len(line.replace(".", "")) <= 19)]
+    assert seen == [others] and len(others) < 1100
+
+
 def test_float_pieces_follow_pieces_of_mostly_other_lines(monkeypatch):
     # after a piece in which over a third of the lines went to float(), every
     # later piece goes to float() whole, with its line numbers and errors
     calls = []
-    float_piece = durations._float_piece
+    floats = durations._floats
 
-    def recording(lines, start):
-        calls.append(len(lines))
-        return float_piece(lines, start)
+    def recording(texts, numbers):
+        if isinstance(numbers, range):  # a whole piece, not a piece's other lines
+            calls.append(len(texts))
+        return floats(texts, numbers)
 
-    monkeypatch.setattr(durations, "_float_piece", recording)
+    monkeypatch.setattr(durations, "_floats", recording)
     monkeypatch.setattr(durations, "_PARSE_CHUNK", 64)
     lines = ["%.18e" % (k + 0.5) for k in range(20)] + [repr(k + 0.25) for k in range(20)]
     text = "\n".join(lines) + "\n"
