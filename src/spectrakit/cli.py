@@ -101,14 +101,20 @@ def _warn_if_edge(sweep) -> None:
               f"{sweep.edge} edge of its {sweep.grid.size}-point grid", file=sys.stderr)
 
 
-def _plot_sweep(prefix, sweep, empirical, *, short, xlabel, title, label) -> None:
+def _default_dts(series, remedy: str) -> np.ndarray:
+    try:
+        return delta_comb.default_delta_t_grid(series)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; {remedy}") from None
+
+
+def _plot_sweep(prefix, sweep, empirical, model, *, short, xlabel, title, label) -> None:
     """Write <prefix>_ks_vs_<short>.svg (KS p over the grid) and <prefix>_fit.svg."""
     _atomic_write(f"{prefix}_ks_vs_{short}.svg", lambda fh: svgplot.line_plot_svg(
         [(sweep.grid, np.array([r.ks.p_value for r in sweep.results]), "KS probability")],
         fh, title=f"KS probability vs {sweep.name}", xlabel=xlabel, ylabel="p", log_x=True))
     _atomic_write(f"{prefix}_fit.svg", lambda fh: svgplot.line_plot_svg(
-        [(empirical.taus, empirical.psi, "empirical"),
-         (empirical.taus, sweep.pick.rebuilt.psi, label)], fh,
+        [(empirical.taus, empirical.psi, "empirical"), (empirical.taus, model, label)], fh,
         title=title, xlabel="tau [s]", ylabel="Psi", log_y=True))
 
 
@@ -145,9 +151,12 @@ def cmd_survival(args) -> None:
                  ("mean", f"{series.mean:.6g}"), ("tau_max", f"{series.max:g}"),
                  ("dropped", series.dropped), ("out", args.out)])
     if args.plot:
-        reference = np.exp(-taus / series.mean)
+        def reference(t):
+            return np.exp(-t / series.mean)
+        # drawn down to the smallest positive psi (0 where there is none)
+        shown = taus[reference(taus) >= curve.psi[np.count_nonzero(curve.psi > 0) - 1]]
         _atomic_write(args.plot, lambda fh: svgplot.line_plot_svg(
-            [(taus, curve.psi, "empirical"), (taus, reference, "exponential 1/mean")],
+            [(taus, curve.psi, "empirical"), (shown, reference, "exponential 1/mean")],
             fh, title="Survival function", xlabel="tau [s]", ylabel="Psi", log_y=True))
 
 
@@ -159,7 +168,7 @@ def cmd_tikhonov(args) -> None:
     curve = empirical_survival(series, np.arange(1.0, args.n + 1))
     if args.auto_h:
         dt_sweep = delta_comb.sweep_delta_t(
-            series, delta_comb.default_delta_t_grid(series), curve)
+            series, _default_dts(series, "give --h instead of --auto-h"), curve)
         _warn_if_edge(dt_sweep)
         h = delta_comb.estimate_h(dt_sweep.pick.comb, args.n)
     else:
@@ -183,14 +192,14 @@ def cmd_tikhonov(args) -> None:
                  ("neg_mass", f"{sol.spectrum.negative_mass:.6g}")])
     _warn_if_edge(mu_sweep)
     if args.plot:
-        _plot_sweep(args.out_prefix, mu_sweep, curve, short="mu", xlabel="mu",
+        _plot_sweep(args.out_prefix, mu_sweep, curve, sol.rebuilt.psi, short="mu", xlabel="mu",
                     title="Rebuilt survival function", label=f"rebuilt mu={sol.mu:.3g}")
 
 
 def cmd_comb(args) -> None:
     series = _load_series(args)
     dts = (parse_value_list(args.dt) if args.dt
-           else delta_comb.default_delta_t_grid(series))
+           else _default_dts(series, "give an explicit grid with --dt"))
     empirical = empirical_survival(series, parse_value_list(args.grid) if args.grid
                                    else default_tau_grid(series))
     dt_sweep = delta_comb.sweep_delta_t(series, dts, empirical)
@@ -206,7 +215,8 @@ def cmd_comb(args) -> None:
                  ("ks_pvalue", f"{report.p_value:.6g}")])
     _warn_if_edge(dt_sweep)
     if args.plot:
-        _plot_sweep(args.out_prefix, dt_sweep, empirical, short="dt",
+        _plot_sweep(args.out_prefix, dt_sweep, empirical,
+                    lambda t: delta_comb.comb_survival(comb, t).psi, short="dt",
                     xlabel="delta_t [s]", title="Delta-comb survival function",
                     label=f"comb dT={comb.delta_t:.3g}")
 

@@ -283,7 +283,7 @@ def default_delta_t_grid(series: DurationSeries) -> np.ndarray:
         hi = 2.0 * lo
     if not math.isfinite(hi):
         raise ValueError(f"mean = {series.mean:g} puts the default delta_t grid past the "
-                         "float range; give an explicit grid with --dt")
+                         "float range")
     return np.geomspace(lo, hi, DELTA_T_GRID_POINTS)
 
 

@@ -11,6 +11,9 @@ __all__ = ["line_plot_svg"]
 _WIDTH, _HEIGHT = 640, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 50
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
+_PLOT_H = _HEIGHT - _MARGIN_T - _MARGIN_B
+# sampled curves (_sample): px tolerance, first call's size, smallest normal float
+_EPS, _FIRST, _TINY = 0.05, 257, np.finfo(float).tiny
 
 
 def _escape(text: str) -> str:
@@ -38,17 +41,66 @@ def _points(x, y) -> str:
     return str(flat[flat != 0][:-1], "ascii")
 
 
+def _sample(x, f, log_y: bool):
+    """(x, y) where f is evaluated: on all of x, or on _FIRST spread points and
+    then once per round; px bounds use f's own y span, at most the frame's."""
+    idx = np.rint(np.linspace(0, x.size - 1, min(x.size, _FIRST))).astype(np.intp)
+    val = f(x[idx])
+    while True:
+        # on a log axis the first zero, NaN in v, brackets the last positive point
+        live = min(np.count_nonzero(val > 0) + 1, val.size) if log_y else val.size
+        v = np.log10(np.where(val[:live] > 0, val[:live], np.nan)) if log_y else val
+        span = np.fmax.reduce(v, initial=-np.inf) - np.fmin.reduce(v, initial=np.inf)
+        # drawn y is concave (but for subnormal values), so a skipped point lies
+        # within |s- - s+| * dx / 4 of its chord, s-/s+ the neighbour chords' slopes
+        dx = np.diff(x[idx[:live]])
+        slopes = np.r_[np.nan, np.diff(v) / dx, np.nan]
+        bound = np.abs(slopes[:-2] - slopes[2:]) * dx / 4 * _PLOT_H / (span or 1.0)
+        split = (np.diff(idx[:live]) > 1) & (~(bound <= _EPS) | log_y & (val[1:live] < _TINY))
+        new = (idx[:live - 1][split] + idx[1:live][split]) // 2
+        if not new.size:
+            return x[idx], val
+        at = np.searchsorted(idx, new)
+        idx, val = np.insert(idx, at, new), np.insert(val, at, f(x[new]))
+
+
+def _kept(x, y, log_x: bool, log_y: bool):
+    """Yield the finite points on the plot axes a piece at a time, less flat-run points."""
+    cx, cy = np.empty(0), np.empty(0)  # the last two points; the last waits
+    for k, (tx, ty) in enumerate(zip(_pieces(x, log_x), _pieces(y, log_y)), 1):
+        keep = np.isfinite(tx) & np.isfinite(ty)
+        tx, ty = np.concatenate((cx, tx[keep])), np.concatenate((cy, ty[keep]))
+        a, b, c = tx[:-2], tx[1:-1], tx[2:]
+        show = np.ones(tx.size, dtype=bool)
+        show[1:-1] = ((ty[1:-1] != ty[:-2]) | (ty[1:-1] != ty[2:])
+                      | ~((a < b) & (b < c) | (a > b) & (b > c)))
+        last = k * durations._TABLE_ROWS >= len(x)
+        done = slice(max(cx.size - 1, 0), tx.size if last else max(tx.size - 1, 0))
+        yield tx[done][show[done]], ty[done][show[done]]
+        cx, cy = tx[-2:], ty[-2:]
+
+
 def line_plot_svg(curves, stream, title: str = "", xlabel: str = "", ylabel: str = "",
                   log_x: bool = False, log_y: bool = False) -> None:
     """Write labelled (x, y) curves to ``stream`` as an SVG, one polyline each.
 
     ``curves`` is a list of (x, y, label) triples.  Log axes drop
-    non-positive points.  Points are worked durations._TABLE_ROWS at a time.
+    non-positive points; a point whose y equals both finite neighbours',
+    with its x strictly between theirs, is not written.  On a linear x
+    axis, y may be a callable giving a non-negative mixture of decaying
+    exponentials on an increasing subset of x (an increasing float array),
+    drawn through grid points _sample picks, its first and last positive
+    among them, within _EPS px of all others.  Points are worked
+    durations._TABLE_ROWS at a time.
     """
     if not curves:
         raise ValueError("no curves to plot")
-    if any(len(x) != len(y) for x, y, _ in curves):
+    if any(not callable(y) and len(x) != len(y) for x, y, _ in curves):
         raise ValueError("x and y of a curve must have equal lengths")
+    if log_x and any(callable(y) for _, y, _ in curves):
+        raise ValueError("a sampled curve needs a linear x axis")
+    curves = [(*_sample(x, y, log_y), label) if callable(y) else (x, y, label)
+              for x, y, label in curves]
     x0, x1, y0, y1 = np.inf, -np.inf, np.inf, -np.inf
     for x, y, _ in curves:
         for tx, ty in zip(_pieces(x, log_x), _pieces(y, log_y)):
@@ -61,8 +113,7 @@ def line_plot_svg(curves, stream, title: str = "", xlabel: str = "", ylabel: str
     x1 = x0 + 1.0 if x1 == x0 else x1
     y1 = y0 + 1.0 if y1 == y0 else y1
 
-    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
-    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
+    plot_w, plot_h = _WIDTH - _MARGIN_L - _MARGIN_R, _PLOT_H
 
     def px(x):
         return _MARGIN_L + (x - x0) / (x1 - x0) * plot_w
@@ -109,9 +160,8 @@ def line_plot_svg(curves, stream, title: str = "", xlabel: str = "", ylabel: str
         color = _COLORS[k % len(_COLORS)]
         stream.write(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="')
         sep = ""
-        for tx, ty in zip(_pieces(x, log_x), _pieces(y, log_y)):
-            keep = np.isfinite(tx) & np.isfinite(ty)
-            pts = _points(px(tx[keep]), py(ty[keep]))
+        for tx, ty in _kept(x, y, log_x, log_y):
+            pts = _points(px(tx), py(ty))
             if pts:
                 stream.write(sep + pts)
                 sep = " "

@@ -1,4 +1,5 @@
 import os
+import re
 import stat
 import sys
 import tracemalloc
@@ -192,6 +193,26 @@ def test_survival_plot_svg_structure(tmp_path):
     root = ET.fromstring(svg.read_text())
     polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
     assert len(polylines) == 2
+
+
+def test_survival_plot_frame_ends_at_the_data_floor(tmp_path):
+    # a heavy tail: exp(-tau/mean) falls far below 1/n on the grid, and is
+    # drawn only down to the smallest positive empirical psi
+    data, svg = tmp_path / "ml.txt", tmp_path / "s.svg"
+    assert run(["gen", "--ml", "--n", "3000", "--seed", "4", "-o", str(data)]) == 0
+    assert run(["survival", "--input", str(data), "-o", str(tmp_path / "s.csv"),
+                "--plot", str(svg)]) == 0
+    with open(data) as fh:
+        series = durations.load_durations(fh)
+    psi = durations.empirical_survival(series, durations.default_tau_grid(series)).psi
+    y_ticks = re.findall(r'text-anchor="end" font-size="11">1e([^<]*)<', svg.read_text())
+    assert y_ticks[0] == f"{np.log10(psi[psi > 0].min()):g}"
+    # with no positive psi on the grid, the reference is drawn as it is
+    data.write_text("1\n2\n3\n")
+    assert run(["survival", "--input", str(data), "--grid", "5,6,7", "-o",
+                str(tmp_path / "s.csv"), "--plot", str(svg)]) == 0
+    assert re.findall(r'points="([^"]*)"', svg.read_text()) == [
+        "", "70.00,40.00 345.00,235.00 620.00,430.00"]
 
 
 def test_survival_hugs_exponential_reference(tmp_path):
@@ -560,7 +581,7 @@ def test_oversize_sizes_are_refused_up_front(tmp_path, capsys, argv, message):
      "give an explicit grid with --dt"),
     (["tikhonov", "--auto-h"], ["1e308"],
      "error: mean = 1e+308 puts the default delta_t grid past the float range; "
-     "give an explicit grid with --dt"),
+     "give --h instead of --auto-h"),
     (["comb"], ["1e-320", "2e-320", "5e-324"],
      "error: durations must be at least 2.23e-308 s, got 4.94e-324"),
     (["survival", "--mode", "timestamps"], ["-1e308", "1e308"],

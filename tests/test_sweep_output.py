@@ -2,6 +2,7 @@
 and the CSV table round-trip."""
 
 import io
+import math
 import re
 from xml.sax.saxutils import escape
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectrakit import SurvivalCurve, delta_comb, durations, svgplot
+from spectrakit import SurvivalCurve, delta_comb, durations, svgplot, synthetic
 from spectrakit.cli import main
 from spectrakit.delta_comb import DeltaComb, write_comb_csv
 from spectrakit.durations import MAX_GRID_POINTS, write_survival_csv
@@ -41,6 +42,29 @@ def test_comb_plot_rebuilds_only_the_picked_delta_t(exp_data, tmp_path, monkeypa
                  "--plot"]) == 0
     assert calls == [50.0]
     assert (tmp_path / "cb_fit.svg").exists()
+
+
+def test_comb_plot_evaluates_a_sliver_of_a_long_grid(tmp_path, monkeypatch, capsys):
+    # the plot samples the picked comb's curve: few calls, few taus
+    data = tmp_path / "ml.txt"
+    assert main(["gen", "--ml", "--n", "3000", "--seed", "4", "-o", str(data)]) == 0
+    calls = []
+    original = delta_comb.comb_survival
+
+    def counted(comb, taus):
+        calls.append((comb.delta_t, np.size(taus)))
+        return original(comb, taus)
+
+    monkeypatch.setattr(delta_comb, "comb_survival", counted)
+    n = 20_000
+    capsys.readouterr()
+    assert main(["comb", "--input", str(data), "--grid", f"1:{n}:{n},lin",
+                 "-o", str(tmp_path / "cb"), "--plot"]) == 0
+    picked = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("# best_delta_t = ")]
+    assert [f"# best_delta_t = {dt:g}" for dt in {dt for dt, _ in calls}] == picked
+    assert len(calls) <= math.ceil(math.log2(n)) + 1
+    assert sum(size for _, size in calls) < 0.1 * n
 
 
 @pytest.mark.parametrize("argv, warning", [
@@ -136,6 +160,142 @@ def test_polyline_unequal_lengths_raise(monkeypatch, nx, ny):
         _svg([(np.arange(1.0, nx + 1), np.arange(1.0, ny + 1), "a")])
 
 
+def _flat_reference(x, y, log_x, log_y):
+    # x, y less the points the flat-run rule drops, one finite point at a time
+    tx = np.log10(np.where(x > 0, x, np.nan)) if log_x else x
+    ty = np.log10(np.where(y > 0, y, np.nan)) if log_y else y
+    finite = np.flatnonzero(np.isfinite(tx) & np.isfinite(ty)).tolist()
+    drop = [i for prev, i, nxt in zip(finite, finite[1:], finite[2:])
+            if ty[prev] == ty[i] == ty[nxt]
+            and min(tx[prev], tx[nxt]) < tx[i] < max(tx[prev], tx[nxt])]
+    return np.delete(x, drop), np.delete(y, drop)
+
+
+def test_flat_runs_keep_their_ends():
+    x = np.arange(1.0, 9.0)
+    y = np.array([1.0, 1.0, np.nan, 1.0, 1.0, 0.5, 0.5, 0.5])
+    assert re.findall(r'points="([^"]*)"', _svg([(x, y, "a")])) == [
+        "70.00,40.00 384.29,40.00 462.86,430.00 620.00,430.00"]
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, np.nan]),
+                          st.sampled_from([0.5, 0.25, 0.0, np.nan, np.inf])), max_size=14),
+       st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_flat_runs_are_dropped_across_pieces(points, log_x, log_y):
+    # the document of the points the rule keeps, and the same in pieces of 4
+    x, y = np.array(points, dtype=float).reshape(-1, 2).T
+    kx, ky = _flat_reference(x, y, log_x, log_y)
+    curves = [(x, y, "a"), (x[::-1], y, "b")]
+    whole = _svg_or_error(curves, log_x=log_x, log_y=log_y)
+    assert whole == _svg_or_error([(kx, ky, "a"), _flat_reference(x[::-1], y, log_x, log_y)
+                                   + ("b",)], log_x=log_x, log_y=log_y)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(durations, "_TABLE_ROWS", 4)
+        assert _svg_or_error(curves, log_x=log_x, log_y=log_y) == whole
+
+
+def _pixels(curves, log_y):
+    # exact px of the finite points of array curves, in the frame they give
+    # together, by svgplot's arithmetic
+    ys = [np.log10(np.where(y > 0, y, np.nan)) if log_y else y for _, y in curves]
+    x0, x1 = min(x.min() for x, _ in curves), max(x.max() for x, _ in curves)
+    y0, y1 = min(np.nanmin(y) for y in ys), max(np.nanmax(y) for y in ys)
+    x1, y1 = x1 + (x1 == x0), y1 + (y1 == y0)
+    w = svgplot._WIDTH - svgplot._MARGIN_L - svgplot._MARGIN_R
+    return [np.column_stack((svgplot._MARGIN_L + (x - x0) / (x1 - x0) * w,
+                             svgplot._MARGIN_T + (y1 - y) / (y1 - y0) * svgplot._PLOT_H)
+                            )[np.isfinite(y)] for (x, _), y in zip(curves, ys)]
+
+
+def _distances(points, line):
+    # perpendicular distance of each point to the polyline through line's
+    # rows, over the three segments nearest the point's x (a lone point is
+    # a segment of length 0)
+    a, b = line, np.vstack((line[1:], line[-1:]))
+    near = np.searchsorted(line[:, 0], points[:, 0]) - 1
+    best = np.full(len(points), np.inf)
+    for step in (-1, 0, 1):
+        k = np.clip(near + step, 0, len(a) - 1)
+        ab, ap = b[k] - a[k], points - a[k]
+        length = np.sum(ab * ab, axis=1)
+        t = np.clip(np.divide(np.sum(ap * ab, axis=1), length, out=np.zeros(len(k)),
+                              where=length > 0), 0.0, 1.0)
+        best = np.minimum(best, np.hypot(*(ap - t[:, None] * ab).T))
+    return best
+
+
+def _check_sampled(x, f, others, log_y, same_frame):
+    """Plot f on the grid x, sampled, after the array curves others: its
+    points are grid points (the ends among them), it keeps to its call
+    budget, and every grid point lies within _EPS px of its polyline, plus
+    the 0.005 px of the printing.  With same_frame, every line but the
+    polylines is the one the whole curve gives; comb_survival on a subset
+    of the grid may differ from the whole grid's values by 1e-14
+    relative, so where an extreme moves by an ulp, a tick label can too."""
+    calls = []
+
+    def counted(t):
+        calls.append(t.size)
+        return f(t)
+
+    full = f(x)
+    sampled = _svg([*[(ox, oy, "") for ox, oy in others], (x, counted, "model")], log_y=log_y)
+    whole = _svg([*[(ox, oy, "") for ox, oy in others], (x, full, "model")], log_y=log_y)
+    assert not same_frame or ([line for line in sampled.splitlines() if "<polyline" not in line]
+                              == [line for line in whole.splitlines() if "<polyline" not in line])
+    assert len(calls) <= math.ceil(math.log2(x.size)) + 1 and sum(calls) <= x.size
+    exact = _pixels([*others, (x, full)], log_y)[-1]
+    drawn = re.findall(r'points="([^"]*)"', sampled)[-1].split()
+    grid = [f"{px:.2f},{py:.2f}" for px, py in exact]
+    assert set(drawn) <= set(grid) and (drawn[0], drawn[-1]) == (grid[0], grid[-1])
+    line = np.array([p.split(",") for p in drawn], dtype=float)
+    assert _distances(exact, line).max() <= svgplot._EPS + 0.005 * math.sqrt(2)
+    return len(drawn)
+
+
+@pytest.fixture(scope="module")
+def ml_comb():
+    series = synthetic.gen_mittag_leffler(synthetic.MlParams(beta=0.95, gamma=8.85), 3000, 4)
+    empirical = durations.empirical_survival(series, durations.default_tau_grid(series))
+    sweep = delta_comb.sweep_delta_t(series, delta_comb.default_delta_t_grid(series),
+                                     empirical)
+    return empirical, sweep.pick.comb
+
+
+@pytest.mark.parametrize("log_y", [True, False])
+def test_sampled_comb_fit_lies_within_eps_of_its_polyline(ml_comb, log_y):
+    empirical, comb = ml_comb
+    drawn = _check_sampled(empirical.taus, lambda t: delta_comb.comb_survival(comb, t).psi,
+                           [(empirical.taus, empirical.psi)], log_y, same_frame=True)
+    assert drawn < empirical.taus.size // 10
+
+
+@given(st.lists(st.tuples(st.floats(1e-3, 1.0), st.floats(1e-4, 2.0)), min_size=1,
+                max_size=6),
+       st.integers(2, 4000), st.floats(10.0, 3000.0), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_sampled_combs_lie_within_eps_of_their_polylines(terms, n, tau_max, log_y):
+    weights, rates = (np.array(col) for col in zip(*terms))
+    comb = DeltaComb(weights=weights / weights.sum(), rates=rates, m=rates.size,
+                     delta_t=1.0, window_counts=np.ones(rates.size, dtype=int),
+                     window_sums=1.0 / rates)
+    _check_sampled(np.linspace(0.0, tau_max, n),
+                   lambda t: delta_comb.comb_survival(comb, t).psi, [], log_y, same_frame=False)
+
+
+def test_sampled_curve_is_drawn_to_its_last_positive_grid_point():
+    # exp(-tau) passes through 37 s of subnormal values to 0 at about 745 s
+    x = np.linspace(0.0, 800.0, 40_000)
+    assert _check_sampled(x, lambda t: np.exp(-t), [], True, same_frame=False) < x.size // 10
+
+
+def test_sampled_curve_needs_a_linear_x_axis():
+    x = np.arange(1.0, 4.0)
+    with pytest.raises(ValueError, match="linear x axis"):
+        _svg([(x, lambda t: np.exp(-t), "a")], log_x=True)
+
+
 TEXTS = ["a & b", "<g>", "x > 0 & y < 1", "\"quoted\" 'single'", "&amp;", "&lt;&gt;",
          "ψ(τ) — Δt ≥ 2 µs", "", "&&<<>>", "plain"]
 
@@ -219,6 +379,9 @@ def test_cli_plots_match_the_format_reference(tmp_path, monkeypatch):
         out.mkdir()
         assert main(["survival", "--input", str(data), "-o", str(out / "s.csv"),
                      "--plot", str(out / "s.svg")]) == 0
+        # a dense grid, so that one plot still holds thousands of distinct points
+        assert main(["survival", "--input", str(data), "--grid", "0.01:20000:40000",
+                     "-o", str(out / "dense.csv"), "--plot", str(out / "dense.svg")]) == 0
         for command in ("tikhonov", "comb"):
             assert main([command, "--input", str(data), "-o", str(out / command),
                          "--plot"]) == 0
@@ -228,7 +391,7 @@ def test_cli_plots_match_the_format_reference(tmp_path, monkeypatch):
     monkeypatch.setattr(svgplot, "_points", _format_points)
     reference = plots(tmp_path / "reference")
     assert [name for name in fast if reference[name] != fast[name]] == []
-    assert len(fast) == 5 and fast["comb_fit.svg"].count(b",") > 4000
+    assert len(fast) == 6 and fast["dense.svg"].count(b",") > 4000
 
 
 finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
