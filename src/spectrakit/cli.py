@@ -152,7 +152,8 @@ def cmd_survival(args) -> None:
                  ("dropped", series.dropped), ("out", args.out)])
     if args.plot:
         def reference(t):
-            return np.exp(-t / series.mean)
+            with np.errstate(over="ignore"):  # a -t/mean past the float range is -inf
+                return np.exp(-t / series.mean)
         # drawn down to the smallest positive psi (0 where there is none)
         shown = taus[reference(taus) >= curve.psi[np.count_nonzero(curve.psi > 0) - 1]]
         _atomic_write(args.plot, lambda fh: svgplot.line_plot_svg(

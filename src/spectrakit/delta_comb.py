@@ -220,24 +220,28 @@ def _psi_chunks(rates: np.ndarray, weights: np.ndarray, taus: np.ndarray):
            if w_low > 0 and np.min(weights) >= 0 else math.inf)
     lo, rows = 0, _CHUNK
     while lo < taus.size:
-        while True:
-            t = taus[lo:lo + rows]
-            floor = weights[low] * np.exp(neg_rates[low] * t[-1])
-            cut = _NORMAL_ARG if floor >= 2.0 ** -967 else _ZERO_ARG
-            live = max(cut, t[0] * neg_rates[low] - gap) if cut == _NORMAL_ARG else cut
-            if not ordered and np.min(t[-1] * neg_rates) <= live:
-                order = np.argsort(rates, kind="stable")
-                neg_rates, weights, low, ordered = neg_rates[order], weights[order], 0, True
-            k = np.count_nonzero(t[0] * neg_rates > live)
-            if t.size * k <= max(_BUDGET, _CHUNK * k):
-                break
-            rows = max(_CHUNK, _BUDGET // k)
-        j = np.count_nonzero(t[-1] * neg_rates[:k] > cut)
-        block = np.outer(t, neg_rates[:k])
-        band = block[:, j:]
-        np.copyto(band, -np.inf, where=band <= cut)
-        np.exp(block, out=block)
-        yield lo, block @ weights[:k]
+        # a product -lambda*tau below -1.8e308 is -inf, whose exp is 0; the
+        # with closes before the yield, so the caller's error state holds there
+        with np.errstate(over="ignore"):
+            while True:
+                t = taus[lo:lo + rows]
+                floor = weights[low] * np.exp(neg_rates[low] * t[-1])
+                cut = _NORMAL_ARG if floor >= 2.0 ** -967 else _ZERO_ARG
+                live = max(cut, t[0] * neg_rates[low] - gap) if cut == _NORMAL_ARG else cut
+                if not ordered and np.min(t[-1] * neg_rates) <= live:
+                    order = np.argsort(rates, kind="stable")
+                    neg_rates, weights, low, ordered = neg_rates[order], weights[order], 0, True
+                k = np.count_nonzero(t[0] * neg_rates > live)
+                if t.size * k <= max(_BUDGET, _CHUNK * k):
+                    break
+                rows = max(_CHUNK, _BUDGET // k)
+            j = np.count_nonzero(t[-1] * neg_rates[:k] > cut)
+            block = np.outer(t, neg_rates[:k])
+            band = block[:, j:]
+            np.copyto(band, -np.inf, where=band <= cut)
+            np.exp(block, out=block)
+            psi = block @ weights[:k]
+        yield lo, psi
         lo += t.size
         rows = min(2 * rows, max(_CHUNK, _BUDGET // max(k, 1)))
 

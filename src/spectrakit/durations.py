@@ -150,26 +150,24 @@ def _type_error(line) -> TypeError:
                      f"not {type(line).__name__} lines")
 
 
-def _pieces(chunks, breaks):
+def _pieces(chunks, breaks: str):
     """Each piece of the text of the chunks, with every line ended by '\n' alone.
 
-    breaks() gives the characters besides '\n' at which the source ends a
-    line, once a chunk is read ('\r' among them makes '\r\n' one line end, as
-    in every source that breaks at '\r').  A piece ends after the last '\n'
-    of a chunk that has one, or else after its last other break that does
-    not end the chunk (a '\r' there may be half of a '\r\n').
+    ``breaks`` holds the characters besides '\n' at which the source ends a
+    line ('\r' among them makes '\r\n' one line end).  A piece ends after the
+    last '\n' of a chunk that has one, or else after its last other break that
+    does not end the chunk (a '\r' there may be half of a '\r\n').
     """
     head = []
     for chunk in chunks:
-        ends = breaks()
-        cut = chunk.rfind("\n") + 1 or max([chunk.rfind(c, 0, -1) + 1 for c in ends],
+        cut = chunk.rfind("\n") + 1 or max([chunk.rfind(c, 0, -1) + 1 for c in breaks],
                                             default=0)
         if cut:
-            yield _ended("".join([*head, chunk[:cut]]), ends)
+            yield _ended("".join([*head, chunk[:cut]]), breaks)
             head = []
         head.append(chunk[cut:])
     if tail := "".join(head):
-        yield _ended(tail, breaks())
+        yield _ended(tail, breaks)
 
 
 def _ended(piece: str, breaks: str) -> str:
@@ -181,18 +179,12 @@ def _ended(piece: str, breaks: str) -> str:
     return piece
 
 
-def _stream_pieces(stream):
-    # _PARSE_CHUNK characters at a time from a text stream, cut into pieces
-    def reads():
-        while chunk := stream.read(_PARSE_CHUNK):
-            if not isinstance(chunk, str):
-                raise _type_error(chunk)
-            yield chunk
-
-    # a lone '\r' also ends a line once the stream reports the newlines it has
-    # read, as one opened with newline="" does (newline=None leaves no '\r')
-    return _pieces(reads(),
-                   lambda: "" if getattr(stream, "newlines", None) is None else "\r")
+def _reads(stream):
+    # _PARSE_CHUNK characters at a time from a text stream
+    while chunk := stream.read(_PARSE_CHUNK):
+        if not isinstance(chunk, str):
+            raise _type_error(chunk)
+        yield chunk
 
 
 def _joined(lines):
@@ -337,18 +329,19 @@ def _parse_numbers(source) -> np.ndarray:
     """The numbers _parse_lines yields, converted a piece of text at a time.
 
     ``source`` is a str or a text stream, read _PARSE_CHUNK characters at a
-    time and cut by _pieces, which ends a str's lines as str.splitlines()
-    does and a stream's as iterating the stream does; or an iterable of str
-    lines (joined _PARSE_LINES at a time), one line per item; a line that is
-    not str is refused with TypeError.  Each piece goes through _parse_piece,
-    and every piece after one in which over a third of the lines went to
-    float(), and every list of _joined, through one _floats pass whole.
+    time and cut by _pieces, which ends a str's lines at every break of
+    str.splitlines() and a stream's at '\n', '\r\n' and a lone '\r' in any
+    newline mode; or an iterable of str lines (joined _PARSE_LINES at a
+    time), one line per item; a line that is not str is refused with
+    TypeError.  Each piece goes through _parse_piece, and every piece after
+    one in which over a third of the lines went to float(), and every list
+    of _joined, through one _floats pass whole.
     """
     if isinstance(source, str):
         chunks = range(0, len(source), _PARSE_CHUNK)
-        pieces = _pieces((source[i:i + _PARSE_CHUNK] for i in chunks), lambda: _STR_BREAKS)
+        pieces = _pieces((source[i:i + _PARSE_CHUNK] for i in chunks), _STR_BREAKS)
     elif hasattr(source, "read"):
-        pieces = _stream_pieces(source)
+        pieces = _pieces(_reads(source), "\r")
     else:
         pieces = _joined(source)
     parts, start, floats = [], 1, False
@@ -372,13 +365,12 @@ def load_durations(source, mode: str = "durations",
     ----------
     source : str, text stream or iterable of str lines
         Text with one number per line; '#' lines are comments.  A str
-        splits into lines as str.splitlines() does; a stream (anything
-        with a ``read`` method, such as an open text file) is read in
-        pieces and splits at '\n', and at a lone '\r' too once its
-        ``newlines`` attribute is set (a file opened with newline=""); not
-        under newline="\r" or "\r\n", which TextIOWrapper does not expose.
-        A bytes source, or bytes lines (a file opened in binary mode),
-        are refused with TypeError.
+        splits into lines at every break of str.splitlines(); a stream
+        (anything with a ``read`` method, such as an open text file) is
+        read in pieces and splits at '\n', '\r\n' and a lone '\r',
+        whatever newline mode it was opened with; an iterable gives one
+        line per item.  A bytes source, or bytes lines (a file opened in
+        binary mode), are refused with TypeError.
     mode : {'durations', 'timestamps'}
         'durations' takes the numbers as waiting times; 'timestamps'
         takes successive differences of non-decreasing event times.

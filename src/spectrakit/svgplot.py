@@ -12,8 +12,8 @@ _WIDTH, _HEIGHT = 640, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 50
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
 _PLOT_H = _HEIGHT - _MARGIN_T - _MARGIN_B
-# sampled curves (_sample): px tolerance, first call's size, smallest normal float
-_EPS, _FIRST, _TINY = 0.05, 257, np.finfo(float).tiny
+# sampled curves (_sample): px tolerance and first call's size
+_EPS, _FIRST = 0.05, 257
 
 
 def _escape(text: str) -> str:
@@ -56,7 +56,8 @@ def _sample(x, f, log_y: bool):
         dx = np.diff(x[idx[:live]])
         slopes = np.r_[np.nan, np.diff(v) / dx, np.nan]
         bound = np.abs(slopes[:-2] - slopes[2:]) * dx / 4 * _PLOT_H / (span or 1.0)
-        split = (np.diff(idx[:live]) > 1) & (~(bound <= _EPS) | log_y & (val[1:live] < _TINY))
+        split = (np.diff(idx[:live]) > 1) & (~(bound <= _EPS)
+                                             | log_y & (val[1:live] < durations._TINY))
         new = (idx[:live - 1][split] + idx[1:live][split]) // 2
         if not new.size:
             return x[idx], val
@@ -78,6 +79,13 @@ def _kept(x, y, log_x: bool, log_y: bool):
         done = slice(max(cx.size - 1, 0), tx.size if last else max(tx.size - 1, 0))
         yield tx[done][show[done]], ty[done][show[done]]
         cx, cy = tx[-2:], ty[-2:]
+
+
+def _widened(lo, hi):
+    # a one-value axis range widened by 1, or by one float toward 0 where lo + 1 == lo
+    if hi != lo:
+        return lo, hi
+    return (lo, lo + 1.0) if lo + 1.0 != lo else tuple(sorted((lo, np.nextafter(lo, 0))))
 
 
 def line_plot_svg(curves, stream, title: str = "", xlabel: str = "", ylabel: str = "",
@@ -110,8 +118,8 @@ def line_plot_svg(curves, stream, title: str = "", xlabel: str = "", ylabel: str
             y1 = ty.max(where=np.isfinite(ty), initial=y1)
     if x0 > x1 or y0 > y1:
         raise ValueError("no finite points to plot")
-    x1 = x0 + 1.0 if x1 == x0 else x1
-    y1 = y0 + 1.0 if y1 == y0 else y1
+    x0, x1 = _widened(x0, x1)
+    y0, y1 = _widened(y0, y1)
 
     plot_w, plot_h = _WIDTH - _MARGIN_L - _MARGIN_R, _PLOT_H
 

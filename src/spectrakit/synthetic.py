@@ -148,8 +148,8 @@ def ml_survival(p: MlParams, taus) -> SurvivalCurve:
         weights = step * math.sin(bpi) / (4.0 * bpi * (np.sinh(u / 2.0) ** 2
                                                        + math.cos(bpi / 2.0) ** 2))
         with np.errstate(over="ignore"):  # an inf rate's terms are exactly 0
-            chunks = _psi_chunks(np.exp(u / p.beta), weights, a)
-            psi[live] = np.concatenate([chunk for _, chunk in chunks])
+            rates = np.exp(u / p.beta)
+        psi[live] = np.concatenate([chunk for _, chunk in _psi_chunks(rates, weights, a)])
     # the weights sum to 1 only up to rounding; Psi never exceeds 1, nor rises
     psi = np.minimum.accumulate(np.minimum(psi, 1.0))
     return SurvivalCurve(taus=taus, psi=psi, n_source=0)

@@ -1,13 +1,17 @@
+import contextlib
+import io
 import os
 import re
 import stat
 import sys
+import tempfile
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectrakit import cli, delta_comb, durations, synthetic, tikhonov
@@ -604,3 +608,130 @@ def test_extreme_durations_end_in_one_error_line(tmp_path, capsys, argv, lines, 
     assert run(argv + ["-o", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.splitlines() == [message]
     assert [p.name for p in tmp_path.iterdir()] == (["d.txt"] if lines else [])
+
+
+def test_comb_products_past_the_float_range_are_zero(tmp_path, capsys):
+    # at dT = 1e-300 some window rates times tau = 1e308 pass the float range:
+    # exp(-inf) is 0 exactly, with no numpy overflow warning (which pytest
+    # would turn into a failure)
+    data = tmp_path / "ts.txt"
+    times = np.cumsum(np.random.default_rng(5).exponential(3.0, 77))
+    data.write_text("\n".join(map(repr, times.tolist())) + "\n")
+    prefix = str(tmp_path / "c")
+    assert run(["comb", "--input", str(data), "--mode", "timestamps", "--dt", "1e-300",
+                "--grid", "1e308", "-o", prefix]) == 0
+    assert capsys.readouterr().err == ""
+    assert "inf" not in (tmp_path / "c_comb.csv").read_text()
+
+
+def test_a_plot_of_one_x_past_2_to_the_53_has_a_frame(tmp_path, capsys):
+    # 1e16 + 1 == 1e16, so a one-point x range is widened by one float instead
+    data = tmp_path / "d.txt"
+    data.write_text("1\n2\n1e20\n")
+    svg = tmp_path / "s.svg"
+    assert run(["survival", "--input", str(data), "--grid", "1e16", "-o",
+                str(tmp_path / "s.csv"), "--plot", str(svg)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "nan" not in svg.read_text()
+    root = ET.parse(svg).getroot()
+    points = [p.get("points") for p in root.findall(".//{http://www.w3.org/2000/svg}polyline")]
+    assert points == ["620.00,430.00", "620.00,40.00"]
+
+
+def test_the_survival_reference_past_the_float_range_is_zero(tmp_path, capsys):
+    # tau / mean = 1e308 / 0.5 overflows: the reference curve's exp(-inf) is 0
+    data = tmp_path / "d.txt"
+    data.write_text("0.5\n")
+    assert run(["survival", "--input", str(data), "--grid", "0.25,1e308", "-o",
+                str(tmp_path / "s.csv"), "--plot", str(tmp_path / "s.svg")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+# input lines: up to 30 ordinary durations or timestamps, with up to three
+# other lines put among them, a third of which fail (non-finite or subnormal);
+# the others load but sit at the float range's edges or are dropped, skipped
+# or signed
+_ordinary = st.one_of(st.floats(1e-3, 1e3).map(repr), st.integers(1, 1000).map(str),
+                      st.floats(1e-3, 1e3).map(lambda v: f"{v:.3e}"))
+_extreme = st.sampled_from(["1e308", "1.7976931348623157e308", "1e300", "1e20", "1e16",
+                            "2.2250738585072014e-308", "1e-300", "1e-05", "0", "-3", "+4",
+                            "007.50", "3.5E2", " 7 ", "", "  ", "# c"])
+_failing = st.sampled_from(["inf", "-inf", "nan", "5e-324", "1e-310"])
+
+
+def _inserted(parts):
+    lines, others = parts
+    for at, line in others:
+        lines.insert(at, line)
+    return lines
+
+
+_fuzz_lines = st.tuples(
+    st.lists(_ordinary, min_size=1, max_size=30),
+    st.lists(st.tuples(st.integers(0, 30), st.one_of(_extreme, _extreme, _failing)),
+             max_size=3)).map(_inserted)
+# the line ends, taken in turn: one of a stream's, or a few of str.splitlines()
+_fuzz_ends = st.one_of(
+    st.sampled_from(["\n", "\r\n", "\r"]).map(lambda end: [end]),
+    st.lists(st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                              "\x85", "\u2028", "\u2029"]), min_size=1, max_size=3))
+# grids and sweeps: one-point, reversed, and at 1e-300, past 2**53 and 1e308
+_fuzz_grid = st.sampled_from(["5", "3,2,1", "1:10:4,lin", "10:1:4,lin", "1e-300", "1e16",
+                              "1e300", "1e308", "1e-300:1e300:5", "0.5,1e308", "1:100:7"])
+_fuzz_dt = st.sampled_from(["1", "5", "1e-300", "1e300", "1e-300:1e300:4", "10:1:3",
+                            "0.5:50:6", "2,2"])
+_fuzz_mu = st.sampled_from(["1e-6:1:5", "1", "1e-300", "1e300", "1,1e-3", "1e-300:1e300:4"])
+
+
+def _maybe(flag, values=None):
+    # [] or [flag, a value], or [] or [flag] for a flag that takes none
+    return st.sampled_from([[], [flag]]) if values is None else st.one_of(
+        st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _command(name, *options):
+    # the command's name, the options of every data command, then its own;
+    # "{d}" stands for the run's directory
+    return st.tuples(
+        st.sampled_from(["durations", "timestamps"]).map(lambda m: ["--mode", m]),
+        _maybe("--max-duration", st.sampled_from(["1", "300", "1e-300", "1e300"])),
+        *options).map(lambda parts: [name, *sum(parts, [])])
+
+
+_fuzz_argv = st.one_of(
+    _command("survival", st.just(["-o", "{d}/out.csv"]), _maybe("--grid", _fuzz_grid),
+             _maybe("--plot", st.just("{d}/s.svg"))),
+    _command("tikhonov", st.just(["-o", "{d}/tk"]),
+             st.one_of(_maybe("--h", st.sampled_from(["0.5", "1e-300", "1e300"])),
+                       st.just(["--auto-h"])),
+             _maybe("--n", st.sampled_from(["1", "2", "7", "30"])), _maybe("--mu", _fuzz_mu),
+             _maybe("--plot")),
+    _command("comb", st.just(["-o", "{d}/cb"]), _maybe("--dt", _fuzz_dt),
+             _maybe("--grid", _fuzz_grid), _maybe("--plot")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fuzz_lines, _fuzz_ends, _fuzz_argv)
+def test_every_run_ends_in_exit_0_or_one_error_line(lines, ends, argv):
+    # exit 0 with only 'warning:' lines on stderr, or exit 1 with one 'error:'
+    # line, the last; a Python warning fails the run; tracemalloc peak < 8 MB
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "d.txt")
+        with open(data, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(line + ends[i % len(ends)] for i, line in enumerate(lines)))
+        err = io.StringIO()
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main([arg.format(d=tmp) for arg in argv] + ["--input", data])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1), argv
+    assert all(line.startswith("warning: ") for line in lines[:len(lines) - code]), lines
+    if code:
+        assert lines and lines[-1].startswith("error: "), lines
+    assert peak < 8 * 2 ** 20

@@ -217,12 +217,12 @@ def test_an_empty_last_line_of_a_chunk_counts():
        st.sampled_from([None, "", "\n"]), st.sampled_from([1, 2, 3, 7, durations._PARSE_CHUNK]))
 @example([("1", "\r"), ("2.5", "\r"), ("x", "\r")], "", 7)
 def test_streams_split_lines_as_iterating_them_does(rows, newline, chunk):
-    # newline=None turns '\r' and '\r\n' into '\n', newline="" ends a line at
-    # each of them as well, newline="\n" at '\n' only
+    # in every newline mode a stream ends its lines where iterating it opened
+    # with newline="" does: at '\n', '\r\n' and a lone '\r'
     text = "".join(line + end for line, end in rows)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(durations, "_PARSE_CHUNK", chunk)
-        want = _numbers_or_error(_line_by_line, io.StringIO(text, newline=newline))
+        want = _numbers_or_error(_line_by_line, io.StringIO(text, newline=""))
         got = _numbers_or_error(durations._parse_numbers, io.StringIO(text, newline=newline))
     assert got == want
 
@@ -241,13 +241,38 @@ def test_a_file_of_lone_carriage_returns(tmp_path, monkeypatch):
             with pytest.raises(ValueError, match=r"^line 6: cannot parse 'x' as a number$"):
                 load_durations(fh)
         path.write_bytes(b"# h\r1\r2.5\r\r3e0\r")
-    # a stream that keeps '\r' in its lines (newline="\n") does not split there
-    with pytest.raises(ValueError, match=r"^line 1: cannot parse '1\\r2' as a number$"):
-        load_durations(io.StringIO("1\r2\n"))
+    # a stream that keeps '\r' in its lines (newline="\n") splits there too
+    assert load_durations(io.StringIO("1\r2\n")).values.tolist() == [1.0, 2.0]
     # newline="\r" ends lines at '\r' only when iterated, but is read at '\n' too
     path.write_bytes(b"1\n2\n")
     with open(path, newline="\r") as fh:
         assert load_durations(fh).values.tolist() == [1.0, 2.0]
+
+
+# texts of each line end, and of all three, with and without a line that fails
+_ENDED = [end.join(lines) + end for end in ("\n", "\r\n", "\r")
+          for lines in (["# h", "1", "", "2.5"], ["1", "", "x", "3"])]
+_ENDED += ["# h\r1\r\n\r2.5\n", "1\r\n\rx\r3\n"]
+
+
+def _loaded(source):
+    return load_durations(source).values
+
+
+@pytest.mark.parametrize("newline", [None, "", "\n", "\r", "\r\n"])
+@pytest.mark.parametrize("chunk", [1, 2, 3, durations._PARSE_CHUNK])
+def test_every_newline_mode_ends_lines_at_each_line_end(tmp_path, newline, chunk, monkeypatch):
+    # a file in any newline mode, and an io.StringIO, give the values or the
+    # 'line N: ...' error of the same text read with newline=""
+    monkeypatch.setattr(durations, "_PARSE_CHUNK", chunk)
+    path = tmp_path / "t.txt"
+    for text in _ENDED:
+        path.write_bytes(text.encode())
+        with open(path, newline="") as fh:
+            want = _numbers_or_error(_line_by_line, fh)
+        with open(path, newline=newline) as fh:
+            assert _numbers_or_error(_loaded, fh) == want, (text, newline)
+        assert _numbers_or_error(_loaded, io.StringIO(text)) == want, text
 
 
 def _other(v, i):
