@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, islice
 
@@ -90,7 +90,7 @@ class SurvivalCurve:
             raise ValueError("taus and psi must have the same length")
         if not (np.all(np.isfinite(taus)) and np.all(np.isfinite(psi))):
             raise ValueError("taus and psi must be finite")
-        if np.any(np.diff(taus) <= 0):
+        if np.any(taus[1:] <= taus[:-1]):  # np.diff can overflow
             raise ValueError("tau grid must be strictly increasing")
         if taus[0] < 0:
             raise ValueError("tau grid values must be >= 0")
@@ -421,10 +421,10 @@ def empirical_survival(series: DurationSeries, taus) -> SurvivalCurve:
     to (multiplicity of the max)/n, so the max/min dynamic range over
     the data support equals n for a unique maximum.
     """
-    taus = np.asarray(taus, dtype=float)
-    sorted_vals = np.sort(series.values)
-    counts = series.n - np.searchsorted(sorted_vals, taus, side="left")
-    return SurvivalCurve(taus=taus, psi=counts / series.n, n_source=series.n)
+    curve = SurvivalCurve(taus=taus, psi=np.zeros(np.size(taus)), n_source=series.n)
+    counts = series.n - np.searchsorted(np.sort(series.values), curve.taus, side="left")
+    curve.psi[:] = counts / series.n
+    return curve
 
 
 # rows formatted at once by write_table

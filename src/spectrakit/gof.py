@@ -27,7 +27,7 @@ class KsReport:
 
 def ks_statistic(a: SurvivalCurve, b: SurvivalCurve) -> float:
     """Sup-distance max_j |a.psi[j] - b.psi[j]| over the shared tau grid."""
-    if a.taus.size != b.taus.size or not np.array_equal(a.taus, b.taus):
+    if not np.array_equal(a.taus, b.taus):
         raise ValueError("survival curves are sampled on different tau grids")
     return float(np.max(np.abs(a.psi - b.psi)))
 

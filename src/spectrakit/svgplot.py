@@ -55,7 +55,8 @@ def _sample(x, f, log_y: bool):
         # within |s- - s+| * dx / 4 of its chord, s-/s+ the neighbour chords' slopes
         dx = np.diff(x[idx[:live]])
         slopes = np.r_[np.nan, np.diff(v) / dx, np.nan]
-        bound = np.abs(slopes[:-2] - slopes[2:]) * dx / 4 * _PLOT_H / (span or 1.0)
+        with np.errstate(over="ignore"):  # a bound past the float range splits too
+            bound = np.abs(slopes[:-2] - slopes[2:]) * dx / 4 * _PLOT_H / (span or 1.0)
         split = (np.diff(idx[:live]) > 1) & (~(bound <= _EPS)
                                              | log_y & (val[1:live] < durations._TINY))
         new = (idx[:live - 1][split] + idx[1:live][split]) // 2
@@ -86,6 +87,12 @@ def _widened(lo, hi):
     if hi != lo:
         return lo, hi
     return (lo, lo + 1.0) if lo + 1.0 != lo else tuple(sorted((lo, np.nextafter(lo, 0))))
+
+
+def _scale(lo, hi):
+    # an axis is mapped from halves where hi - lo passes the float range: halving
+    # ends that large is exact, where halving a subnormal one is not
+    return 0.5 if np.isinf(float(hi) - float(lo)) else 1.0
 
 
 def line_plot_svg(curves, stream, title: str = "", xlabel: str = "", ylabel: str = "",
@@ -120,14 +127,15 @@ def line_plot_svg(curves, stream, title: str = "", xlabel: str = "", ylabel: str
         raise ValueError("no finite points to plot")
     x0, x1 = _widened(x0, x1)
     y0, y1 = _widened(y0, y1)
+    sx, sy = _scale(x0, x1), _scale(y0, y1)
 
     plot_w, plot_h = _WIDTH - _MARGIN_L - _MARGIN_R, _PLOT_H
 
     def px(x):
-        return _MARGIN_L + (x - x0) / (x1 - x0) * plot_w
+        return _MARGIN_L + (x * sx - x0 * sx) / (x1 * sx - x0 * sx) * plot_w
 
     def py(y):
-        return _MARGIN_T + (y1 - y) / (y1 - y0) * plot_h
+        return _MARGIN_T + (y1 * sy - y * sy) / (y1 * sy - y0 * sy) * plot_h
 
     def fmt_tick(v, log):
         return f"1e{v:g}" if log else f"{v:.3g}"
@@ -151,13 +159,13 @@ def line_plot_svg(curves, stream, title: str = "", xlabel: str = "", ylabel: str
         cy = _MARGIN_T + plot_h / 2
         parts.append(f'<text x="18" y="{cy}" text-anchor="middle" font-size="13" '
                      f'transform="rotate(-90 18 {cy})">{_escape(ylabel)}</text>')
-    for i, tick in enumerate(np.linspace(x0, x1, 5)):
+    for tick in np.linspace(x0 * sx, x1 * sx, 5) / sx:
         x = px(tick)
         parts.append(f'<line x1="{x:.1f}" y1="{_MARGIN_T + plot_h}" '
                      f'x2="{x:.1f}" y2="{_MARGIN_T + plot_h + 5}" stroke="black"/>')
         parts.append(f'<text x="{x:.1f}" y="{_MARGIN_T + plot_h + 20}" '
                      f'text-anchor="middle" font-size="11">{fmt_tick(tick, log_x)}</text>')
-    for tick in np.linspace(y0, y1, 5):
+    for tick in np.linspace(y0 * sy, y1 * sy, 5) / sy:
         y = py(tick)
         parts.append(f'<line x1="{_MARGIN_L - 5}" y1="{y:.1f}" '
                      f'x2="{_MARGIN_L}" y2="{y:.1f}" stroke="black"/>')

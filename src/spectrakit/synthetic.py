@@ -122,18 +122,18 @@ def ml_survival(p: MlParams, taus) -> SurvivalCurve:
     and Weideman 2014); it neglects below e^-40 of Psi and runs through the
     comb's evaluator.  A grid needing over 2**17 nodes is refused (beta
     outside about [0.0013, 0.9992] on tau = 1..196 at gamma = 8.85).
-    Psi(0) is exactly 1; beta = 1 is the exact exponential.
+    SurvivalCurve checks the tau grid before any term.  Psi(0) is exactly 1,
+    Psi is 0 where tau/gamma passes the float range; beta = 1 is exact.
     """
-    taus = np.asarray(taus, dtype=float)
-    if np.any(taus < 0):
-        raise ValueError("tau grid values must be >= 0")
+    curve = SurvivalCurve(taus=taus, psi=np.ones(np.size(taus)), n_source=0)
+    psi = curve.psi
+    with np.errstate(over="ignore"):  # a tau/gamma of inf has Psi = 0
+        a = curve.taus / p.gamma
+    live = (a > 0) & (a < math.inf)
+    psi[a == math.inf] = 0.0
     if p.beta == 1.0:
-        psi = np.exp(-taus / p.gamma)
-        return SurvivalCurve(taus=taus, psi=psi, n_source=0)
-    a = taus / p.gamma
-    live = np.isfinite(taus) & (a > 0)
-    psi = np.ones_like(a)
-    if np.any(live):
+        psi[:] = np.exp(-a)
+    elif np.any(live):
         a, bpi = a[live], p.beta * math.pi
         step = 2.0 * math.pi * min(math.pi - bpi, bpi / 2.0) / _CUTOFF
         # below lo the weights sum to under e^-40 of Psi(a_max); above hi each
@@ -145,11 +145,11 @@ def ml_survival(p: MlParams, taus) -> SurvivalCurve:
                              "quadrature nodes on this tau grid")
         u = step * np.arange(math.floor(lo / step), math.ceil(hi / step) + 1)
         # sin(beta pi) / (2 pi beta (cosh u + cos beta pi)) without cancellation
-        weights = step * math.sin(bpi) / (4.0 * bpi * (np.sinh(u / 2.0) ** 2
-                                                       + math.cos(bpi / 2.0) ** 2))
-        with np.errstate(over="ignore"):  # an inf rate's terms are exactly 0
+        with np.errstate(over="ignore"):  # an inf sinh or rate adds exactly 0
+            weights = step * math.sin(bpi) / (4.0 * bpi * (np.sinh(u / 2.0) ** 2
+                                                           + math.cos(bpi / 2.0) ** 2))
             rates = np.exp(u / p.beta)
         psi[live] = np.concatenate([chunk for _, chunk in _psi_chunks(rates, weights, a)])
     # the weights sum to 1 only up to rounding; Psi never exceeds 1, nor rises
-    psi = np.minimum.accumulate(np.minimum(psi, 1.0))
-    return SurvivalCurve(taus=taus, psi=psi, n_source=0)
+    psi[:] = np.minimum.accumulate(np.minimum(psi, 1.0))
+    return curve

@@ -1,19 +1,27 @@
 """The public names: every __all__ entry resolves, every function the
 benchmark's tracer wraps exists and its counters read what the library
-returns, and the runtime imports numpy alone."""
+returns, the runtime imports numpy alone, and the curve builders and the
+plot writer end extreme input in a value or a ValueError, never a warning."""
 
 import importlib
 import importlib.util
+import io
 import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectrakit
+from spectrakit import (DeltaComb, DurationSeries, MlParams, comb_survival,
+                        empirical_survival, ml_survival)
+from spectrakit.svgplot import line_plot_svg
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(spectrakit.__path__))
@@ -63,3 +71,53 @@ def test_runtime_imports_numpy_alone():
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "False", "False", "False", "False"]
+
+
+# from 1e-300 to 1e308 with the ends themselves likely; 0 and negatives separately
+SPANS = st.floats(1e-300, 1e308) | st.sampled_from([1e-300, 1e308])
+TAUS = SPANS | st.just(0.0) | st.floats(-1e308, -1e-300)
+
+
+def _returned(build):
+    # the value a builder returns, or None where it raises ValueError
+    try:
+        return build()
+    except ValueError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(beta=st.floats(0.0, 1.0, exclude_min=True) | st.just(1.0), gamma=SPANS,
+       taus=st.lists(TAUS, min_size=1, max_size=6), ordered=st.booleans(),
+       values=st.lists(SPANS, min_size=1, max_size=6),
+       terms=st.lists(st.tuples(st.floats(1e-3, 1.0), SPANS), min_size=1, max_size=4),
+       xy=st.lists(st.tuples(st.floats(-1e308, 1e308), st.floats(-1e308, 1e308)),
+                   min_size=1, max_size=6),
+       log_x=st.booleans(), log_y=st.booleans())
+def test_curve_builders_and_plot_return_or_raise_value_error(
+        beta, gamma, taus, ordered, values, terms, xy, log_x, log_y):
+    # a grid drawn as it comes is mostly refused, so most are made valid first
+    taus = np.unique(np.abs(taus)) if ordered else np.array(taus)
+    weights, rates = np.array(terms).T
+    comb = DeltaComb(weights=weights / weights.sum(), rates=rates, m=rates.size,
+                     delta_t=1.0, window_counts=np.ones(rates.size, dtype=int),
+                     window_sums=1.0 / rates)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ml = _returned(lambda: ml_survival(MlParams(beta, gamma), taus))
+        curves = [ml, _returned(lambda: comb_survival(comb, taus)),
+                  _returned(lambda: empirical_survival(DurationSeries.from_values(values),
+                                                       taus))]
+        plotted = [(c.taus, c.psi, "curve") for c in curves if c is not None]
+        plotted.append((*np.array(xy).T, "drawn"))
+        if ordered and not log_x:
+            plotted.append((taus, lambda t: comb_survival(comb, t).psi, "sampled"))
+        svg = io.StringIO()
+        try:
+            line_plot_svg(plotted, svg, log_x=log_x, log_y=log_y)
+        except ValueError:
+            assert svg.getvalue() == ""
+    assert "nan" not in svg.getvalue() and "inf" not in svg.getvalue()
+    if ml is not None:
+        assert np.all((ml.psi >= 0) & (ml.psi <= 1)) and np.all(np.diff(ml.psi) <= 0)
+        assert np.all(ml.psi[ml.taus == 0] == 1)

@@ -310,6 +310,12 @@ def test_empty_grid_rejected():
         empirical_survival(s, [])
 
 
+def test_a_grid_falling_across_the_float_range_is_refused_quietly():
+    # 1e308 - -8e307 would overflow in np.diff; the order check compares instead
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SurvivalCurve(taus=[1e308, -8e307], psi=[1.0, 1.0])
+
+
 def test_negative_tau_is_refused_by_the_curve():
     with pytest.raises(ValueError, match="tau grid values must be >= 0"):
         SurvivalCurve(taus=[-1.0, 1.0], psi=[1.0, 0.5])

@@ -122,6 +122,30 @@ def test_polyline_points_skip_non_finite_and_non_positive():
         "620.00,351.97"]
 
 
+def test_axes_spanning_past_the_float_range_are_mapped_from_halves():
+    # 1e308 - -1e308 overflows; its halves do not, and halving them is exact
+    wide, ticks = np.array([-1e308, 0.0, 1e308]), ["-1e+308", "-5e+307", "0", "5e+307", "1e+308"]
+    one_to_three = np.array([1.0, 2.0, 3.0])
+    for x, y, at in ((wide, one_to_three, 0), (one_to_three, wide, 5)):
+        svg = _svg([(x, y, "a")])
+        assert re.findall(r'points="([^"]*)"', svg) == ["70.00,430.00 345.00,235.00 620.00,40.00"]
+        assert re.findall(r">([^<]*)</text>", svg)[at:at + 5] == ticks
+
+
+def test_a_subnormal_span_keeps_its_frame():
+    # halving 5e-324 gives 0, so only a span past the float range is halved
+    svg = _svg([(np.array([0.0, 5e-324]), np.array([0.0, 5e-324]), "a")])
+    assert re.findall(r'points="([^"]*)"', svg) == ["70.00,430.00 620.00,40.00"]
+
+
+def test_a_sampled_curve_of_a_huge_rate_is_quiet():
+    # the chord bound |s- - s+| * dx overflows to inf, which splits, as it should
+    taus = np.array([0.0, 1e-300, 1e22, 2e22])
+    svg = _svg([(taus, lambda t: np.exp(-1e297 * np.minimum(t, 1.0)), "a")])
+    assert re.findall(r'points="([^"]*)"', svg) == [
+        "70.00,40.00 70.00,40.39 345.00,430.00 620.00,430.00"]
+
+
 # in pieces of 4, piece 0 has no finite x, and on log axes piece 1 has no
 # finite (x, y) pair and piece 2 no finite y; NaN, inf, -inf and 0 all turn up
 PIECE_X = np.array([np.nan, np.inf, -np.inf, np.nan, 0.0, -2.0, 1.0, 2.0,

@@ -284,6 +284,22 @@ def test_ml_survival_quiet_on_extreme_tau():
     assert np.all((huge > 0) & (huge < 1)) and np.all(np.diff(huge) <= 0)
 
 
+@pytest.mark.parametrize("beta, gamma, taus", [
+    (1.0, 1e-300, [1e10]),  # tau/gamma overflows at beta = 1
+    (0.5, 1e-300, [1.0, 1e10]),  # and below it, where no node count was enough
+    (0.95, 8.85, [1e308]),  # sinh(u/2)**2 at the lowest node overflows
+])
+def test_ml_survival_quiet_past_the_float_range(beta, gamma, taus):
+    # Psi is 0 where tau/gamma is inf, and else the tail (tau/gamma)^-beta / Gamma(1-beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = ml_survival(MlParams(beta=beta, gamma=gamma), taus).psi
+    with np.errstate(over="ignore"):
+        a = np.array(taus) / gamma
+    tail = [0.0 if x == inf else x ** -beta / math.gamma(1 - beta) for x in a.tolist()]
+    assert psi == pytest.approx(tail, rel=1e-13, abs=0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(beta=st.floats(0.05, 0.99),
        scaled=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=40, unique=True))
