@@ -126,17 +126,15 @@ def cmd_gen(args) -> None:
         raise ValueError(f"--n must be in 1..{MAX_GRID_POINTS}, got {args.n}")
     if args.exp is not None:
         spec = synthetic.MixtureSpec(weights=[1.0], rates=[args.exp])
-        series = synthetic.gen_mixture(spec, args.n, args.seed)
-        header = f"# exponential rate={args.exp:g} n={args.n} seed={args.seed}"
+        model = f"exponential rate={args.exp:g}"
     elif args.mixture is not None:
-        spec = parse_mixture(args.mixture)
-        series = synthetic.gen_mixture(spec, args.n, args.seed)
-        header = f"# mixture {args.mixture} n={args.n} seed={args.seed}"
+        spec, model = parse_mixture(args.mixture), f"mixture {args.mixture}"
     else:
-        params = synthetic.MlParams(beta=args.beta, gamma=args.gamma)
-        series = synthetic.gen_mittag_leffler(params, args.n, args.seed)
-        header = (f"# mittag-leffler beta={args.beta:g} gamma={args.gamma:g} "
-                  f"n={args.n} seed={args.seed}")
+        spec = synthetic.MlParams(beta=args.beta, gamma=args.gamma)
+        model = f"mittag-leffler beta={args.beta:g} gamma={args.gamma:g}"
+    gen = synthetic.gen_mittag_leffler if args.ml else synthetic.gen_mixture
+    series = gen(spec, args.n, args.seed)
+    header = f"# {model} n={args.n} seed={args.seed}"
     _atomic_write(args.out, lambda fh: write_table(fh, header, "{!r}", series.values))
     _echo(args, [("out", args.out), ("n", series.n), ("seed", args.seed)])
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -124,13 +124,8 @@ def _window_ends(series: DurationSeries, delta_t: float, span: int) -> list:
         low, high = target - slack, target + slack
         if (end < n and csum[end] <= high) or (end > start and csum[end - 1] >= low):
             lo, hi = _narrow_band(values, start, span, delta_t)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if _exceeds(values, start, mid + 1, delta_t):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            end = lo
+            end = bisect_left(range(hi), True, lo,
+                              key=lambda j: _exceeds(values, start, j + 1, delta_t))
         ends.append(end)
         if end == n:
             break

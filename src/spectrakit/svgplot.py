@@ -82,17 +82,13 @@ def _kept(x, y, log_x: bool, log_y: bool):
         cx, cy = tx[-2:], ty[-2:]
 
 
-def _widened(lo, hi):
-    # a one-value axis range widened by 1, or by one float toward 0 where lo + 1 == lo
-    if hi != lo:
-        return lo, hi
-    return (lo, lo + 1.0) if lo + 1.0 != lo else tuple(sorted((lo, np.nextafter(lo, 0))))
-
-
-def _scale(lo, hi):
-    # an axis is mapped from halves where hi - lo passes the float range: halving
-    # ends that large is exact, where halving a subnormal one is not
-    return 0.5 if np.isinf(float(hi) - float(lo)) else 1.0
+def _frame(lo, hi):
+    # an axis range, a one-value one widened by 1 (by one float toward 0 where
+    # lo + 1 == lo), and its scale: 0.5 where hi - lo passes the float range, as
+    # halving ends that large is exact, where halving a subnormal one is not
+    if hi == lo:
+        lo, hi = (lo, lo + 1.0) if lo + 1.0 != lo else sorted((lo, np.nextafter(lo, 0)))
+    return lo, hi, 0.5 if np.isinf(float(hi) - float(lo)) else 1.0
 
 
 def line_plot_svg(curves, stream, title: str = "", xlabel: str = "", ylabel: str = "",
@@ -125,9 +121,8 @@ def line_plot_svg(curves, stream, title: str = "", xlabel: str = "", ylabel: str
             y1 = ty.max(where=np.isfinite(ty), initial=y1)
     if x0 > x1 or y0 > y1:
         raise ValueError("no finite points to plot")
-    x0, x1 = _widened(x0, x1)
-    y0, y1 = _widened(y0, y1)
-    sx, sy = _scale(x0, x1), _scale(y0, y1)
+    x0, x1, sx = _frame(x0, x1)
+    y0, y1, sy = _frame(y0, y1)
 
     plot_w, plot_h = _WIDTH - _MARGIN_L - _MARGIN_R, _PLOT_H
 

@@ -41,12 +41,15 @@ class SpectrumGrid:
         masses = np.asarray(masses, dtype=float)
         if lambdas.size != masses.size:
             raise ValueError("lambdas and masses must have the same length")
-        return cls(lambdas=lambdas, masses=masses, total_mass=float(masses.sum()))
+        with np.errstate(over="ignore"):  # a total past the float range is inf
+            total = float(masses.sum())
+        return cls(lambdas=lambdas, masses=masses, total_mass=total)
 
     @property
     def negative_mass(self) -> float:
-        """Total magnitude of the negative components."""
-        return 0.0 - float(self.masses[self.masses < 0].sum())
+        """Total magnitude of the negative components; inf past the float range."""
+        with np.errstate(over="ignore"):
+            return 0.0 - float(self.masses[self.masses < 0].sum())
 
     @property
     def negative_count(self) -> int:
@@ -54,8 +57,11 @@ class SpectrumGrid:
 
     @property
     def mass_centroid(self) -> float:
-        """Mean rate sum(lambda*g)/sum(g), the recovery diagnostic."""
-        return float(np.dot(self.lambdas, self.masses) / self.masses.sum())
+        """Mean rate sum(lambda*g)/sum(g), the recovery diagnostic; nan where
+        the masses sum to 0, and inf, 0 or nan where a sum passes the float range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = self.masses.sum()
+            return float(np.dot(self.lambdas, self.masses) / total) if total else math.nan
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """The public names: every __all__ entry resolves, every function the
 benchmark's tracer wraps exists and its counters read what the library
-returns, the runtime imports numpy alone, and the curve builders and the
-plot writer end extreme input in a value or a ValueError, never a warning."""
+returns, the runtime imports numpy alone, and the curve builders, the plot
+writer, the public numerics and the CSV writers end extreme input in a value
+or a ValueError, never a warning."""
 
 import importlib
 import importlib.util
@@ -19,9 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectrakit
-from spectrakit import (DeltaComb, DurationSeries, MlParams, comb_survival,
-                        empirical_survival, ml_survival)
+from spectrakit import (DeltaComb, DurationSeries, MlParams, SpectrumGrid, assemble_kernel,
+                        comb_survival, conditioning_ratio, default_delta_t_grid,
+                        empirical_survival, estimate_h, fit_comb, ks_pvalue, ml_survival,
+                        sweep_delta_t, sweep_mu)
+from spectrakit.delta_comb import write_comb_csv, write_delta_t_sweep_csv
 from spectrakit.svgplot import line_plot_svg
+from spectrakit.tikhonov import write_mu_sweep_csv, write_spectrum_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(spectrakit.__path__))
@@ -121,3 +126,43 @@ def test_curve_builders_and_plot_return_or_raise_value_error(
     if ml is not None:
         assert np.all((ml.psi >= 0) & (ml.psi <= 1)) and np.all(np.diff(ml.psi) <= 0)
         assert np.all(ml.psi[ml.taus == 0] == 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(SPANS, min_size=1, max_size=6), delta_t=SPANS,
+       taus=st.lists(SPANS, min_size=1, max_size=4), h=SPANS, n=st.integers(1, 4),
+       psi=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+       mus=st.lists(SPANS, min_size=1, max_size=3),
+       spectrum=st.lists(st.tuples(SPANS, st.floats(-1e308, 1e308)), min_size=1, max_size=4),
+       d=st.floats(0.0, 1.0) | SPANS, n_eff=st.integers(0, 10 ** 18))
+def test_numerics_and_writers_return_or_raise_value_error(
+        values, delta_t, taus, h, n, psi, mus, spectrum, d, n_eff):
+    out = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = _returned(lambda: DurationSeries.from_values(values))
+        if series is not None:
+            comb = _returned(lambda: fit_comb(series, delta_t))
+            if comb is not None:
+                estimate_h(comb, n)
+                write_comb_csv(comb, out)
+            dts = _returned(lambda: default_delta_t_grid(series))
+            empirical = empirical_survival(series, np.unique(taus))
+            combs = _returned(lambda: sweep_delta_t(
+                series, [delta_t] if dts is None else dts, empirical))
+            if combs is not None:
+                combs.pick.rebuilt
+                write_delta_t_sweep_csv(combs.results, out)
+        spectra = [SpectrumGrid.from_arrays(*np.array(spectrum).T)]
+        kernel = _returned(lambda: assemble_kernel(h, n))
+        if kernel is not None:
+            conditioning_ratio(kernel)
+            solutions = _returned(lambda: sweep_mu(kernel, psi[:n], mus))
+            if solutions is not None:
+                solutions.pick.rebuilt
+                write_spectrum_csv(solutions.pick.spectrum, out)
+                write_mu_sweep_csv(solutions.results, out)
+                spectra += [s.spectrum for s in solutions.results]
+        for grid in spectra:
+            grid.total_mass, grid.negative_mass, grid.negative_count, grid.mass_centroid
+        _returned(lambda: ks_pvalue(d, n_eff))

@@ -112,7 +112,9 @@ def test_gen_mixture_count(tmp_path):
     out = tmp_path / "mix.txt"
     assert run(["gen", "--mixture", "0.5:1,0.5:3", "--n", "100", "--seed", "2",
                 "-o", str(out)]) == 0
-    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    text = out.read_text().splitlines()
+    assert text[0] == "# mixture 0.5:1,0.5:3 n=100 seed=2"
+    lines = [l for l in text if not l.startswith("#")]
     assert len(lines) == 100
 
 
@@ -121,8 +123,7 @@ def test_gen_ml_count_and_header(tmp_path):
     assert run(["gen", "--ml", "--beta", "0.95", "--gamma", "8.85",
                 "--n", "500", "--seed", "7", "-o", str(out)]) == 0
     text = out.read_text().splitlines()
-    assert text[0].startswith("# mittag-leffler")
-    assert "seed=7" in text[0]
+    assert text[0] == "# mittag-leffler beta=0.95 gamma=8.85 n=500 seed=7"
     assert len(text) == 501
 
 

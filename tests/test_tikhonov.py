@@ -324,6 +324,21 @@ def test_negative_mass_is_never_negative_zero():
     assert spectrum.negative_mass == -masses[masses < 0].sum()
 
 
+def test_mass_centroid_of_zero_total_mass_is_nan():
+    # at h = 1e300 every kernel entry exp(-h*i*j) underflows to 0, so g = 0
+    spectra = [SpectrumGrid.from_arrays([1.0, 2.0], [0.0, 0.0]),
+               SpectrumGrid.from_arrays([1.0, 2.0], [1.0, -1.0]),
+               sweep_mu(assemble_kernel(1e300, 4), np.full(4, 0.5), [0.1]).pick.spectrum]
+    assert [np.isnan(s.mass_centroid) for s in spectra] == [True, True, True]
+
+
+def test_spectrum_sums_past_the_float_range_do_not_warn():
+    spectrum = SpectrumGrid.from_arrays([1.0, 2.0], [-1e308, -1e308])
+    assert (spectrum.total_mass, spectrum.negative_mass) == (-np.inf, np.inf)
+    assert np.isnan(spectrum.mass_centroid)
+    assert SpectrumGrid.from_arrays([1e308], [40.0]).mass_centroid == np.inf
+
+
 def test_cli_echoes_zero_negative_mass_without_a_sign(tmp_path, capsys):
     # at h = 1e300 every kernel entry exp(-h*i*j) underflows to 0, so g = 0
     raw = tmp_path / "a.txt"
