@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import stat
 import sys
@@ -59,6 +60,8 @@ def parse_value_list(text: str) -> np.ndarray:
         lo, hi, count = float(fields[0]), float(fields[1]), int(fields[2])
         if not 1 <= count <= MAX_GRID_POINTS:
             raise ValueError(f"range count {count} is outside 1..{MAX_GRID_POINTS}")
+        if not math.isfinite(hi - lo):  # an inf or nan endpoint, or a span past the range
+            raise ValueError(f"range {spec!r} must have finite endpoints and a finite span")
         if scale == "log":
             if lo <= 0 or hi <= 0:
                 raise ValueError("log range endpoints must be > 0")

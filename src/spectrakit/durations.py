@@ -86,8 +86,8 @@ class SurvivalCurve:
         psi = np.asarray(self.psi, dtype=float)
         if taus.ndim != 1 or taus.size == 0:
             raise ValueError("tau grid must be a non-empty 1-d array")
-        if taus.size != psi.size:
-            raise ValueError("taus and psi must have the same length")
+        if psi.shape != taus.shape:
+            raise ValueError("taus and psi must be 1-d arrays of the same length")
         if not (np.all(np.isfinite(taus)) and np.all(np.isfinite(psi))):
             raise ValueError("taus and psi must be finite")
         if np.any(taus[1:] <= taus[:-1]):  # np.diff can overflow
@@ -390,7 +390,7 @@ def load_durations(source, mode: str = "durations",
     numbers = _parse_numbers(source)
     if mode == "timestamps":
         with np.errstate(over="ignore"):  # from_values refuses an inf difference
-            numbers = np.diff(numbers) if numbers.size > 1 else np.empty(0)
+            numbers = np.diff(numbers)
     keep = numbers > 0
     if max_duration is not None:
         keep &= numbers <= max_duration

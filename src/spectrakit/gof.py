@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ def ks_pvalue(d: float, n_eff: int) -> float:
         raise ValueError(f"KS distance must be in [0,1], got {d}")
     if n_eff < 1:
         raise ValueError(f"n_eff must be >= 1, got {n_eff}")
+    if not n_eff <= sys.float_info.max:  # math.sqrt would raise OverflowError
+        raise ValueError(f"n_eff must be at most {sys.float_info.max:g}")
     sqrt_n = math.sqrt(n_eff)
     lam = (sqrt_n + 0.12 + 0.11 / sqrt_n) * d
     total = 0.0

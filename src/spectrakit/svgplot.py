@@ -69,17 +69,17 @@ def _sample(x, f, log_y: bool):
 def _kept(x, y, log_x: bool, log_y: bool):
     """Yield the finite points on the plot axes a piece at a time, less flat-run points."""
     cx, cy = np.empty(0), np.empty(0)  # the last two points; the last waits
-    for k, (tx, ty) in enumerate(zip(_pieces(x, log_x), _pieces(y, log_y)), 1):
+    for tx, ty in zip(_pieces(x, log_x), _pieces(y, log_y)):
         keep = np.isfinite(tx) & np.isfinite(ty)
         tx, ty = np.concatenate((cx, tx[keep])), np.concatenate((cy, ty[keep]))
         a, b, c = tx[:-2], tx[1:-1], tx[2:]
         show = np.ones(tx.size, dtype=bool)
         show[1:-1] = ((ty[1:-1] != ty[:-2]) | (ty[1:-1] != ty[2:])
                       | ~((a < b) & (b < c) | (a > b) & (b > c)))
-        last = k * durations._TABLE_ROWS >= len(x)
-        done = slice(max(cx.size - 1, 0), tx.size if last else max(tx.size - 1, 0))
+        done = slice(max(cx.size - 1, 0), max(tx.size - 1, 0))
         yield tx[done][show[done]], ty[done][show[done]]
         cx, cy = tx[-2:], ty[-2:]
+    yield cx[-1:], cy[-1:]
 
 
 def _frame(lo, hi):

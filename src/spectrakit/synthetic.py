@@ -34,8 +34,8 @@ class MixtureSpec:
     def __post_init__(self):
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         rates = np.atleast_1d(np.asarray(self.rates, dtype=float))
-        if weights.size != rates.size or weights.size == 0:
-            raise ValueError("weights and rates must be non-empty and equal length")
+        if weights.ndim != 1 or weights.shape != rates.shape or weights.size == 0:
+            raise ValueError("weights and rates must be non-empty 1-d arrays of equal length")
         if not (np.all(weights > 0) and abs(weights.sum() - 1.0) <= 1e-12):
             raise ValueError("weights must be positive and sum to 1")
         if not np.all(np.isfinite(rates) & (rates > 0)):
@@ -131,24 +131,24 @@ def ml_survival(p: MlParams, taus) -> SurvivalCurve:
         a = curve.taus / p.gamma
     live = (a > 0) & (a < math.inf)
     psi[a == math.inf] = 0.0
-    if p.beta == 1.0:
-        psi[:] = np.exp(-a)
-    elif np.any(live):
+    if np.any(live):
         a, bpi = a[live], p.beta * math.pi
-        step = 2.0 * math.pi * min(math.pi - bpi, bpi / 2.0) / _CUTOFF
-        # below lo the weights sum to under e^-40 of Psi(a_max); above hi each
-        # term is under e^-40 of its weight, or (hi = 40) all weights are
-        lo = -_CUTOFF - p.beta * math.log(max(a.max(), 1.0))
-        hi = min(_CUTOFF, p.beta * (math.log(_CUTOFF) - math.log(a.min())))
-        if not hi - lo < _MAX_NODES * step:
-            raise ValueError(f"beta = {p.beta} needs more than {_MAX_NODES} "
-                             "quadrature nodes on this tau grid")
-        u = step * np.arange(math.floor(lo / step), math.ceil(hi / step) + 1)
-        # sin(beta pi) / (2 pi beta (cosh u + cos beta pi)) without cancellation
-        with np.errstate(over="ignore"):  # an inf sinh or rate adds exactly 0
-            weights = step * math.sin(bpi) / (4.0 * bpi * (np.sinh(u / 2.0) ** 2
-                                                           + math.cos(bpi / 2.0) ** 2))
-            rates = np.exp(u / p.beta)
+        rates = weights = np.ones(1)  # beta = 1: the one term e^-a
+        if p.beta < 1.0:
+            step = 2.0 * math.pi * min(math.pi - bpi, bpi / 2.0) / _CUTOFF
+            # below lo the weights sum to under e^-40 of Psi(a_max); above hi each
+            # term is under e^-40 of its weight, or (hi = 40) all weights are
+            lo = -_CUTOFF - p.beta * math.log(max(a.max(), 1.0))
+            hi = min(_CUTOFF, p.beta * (math.log(_CUTOFF) - math.log(a.min())))
+            if not hi - lo < _MAX_NODES * step:
+                raise ValueError(f"beta = {p.beta} needs more than {_MAX_NODES} "
+                                 "quadrature nodes on this tau grid")
+            u = step * np.arange(math.floor(lo / step), math.ceil(hi / step) + 1)
+            # sin(beta pi) / (2 pi beta (cosh u + cos beta pi)) without cancellation
+            with np.errstate(over="ignore"):  # an inf sinh or rate adds exactly 0
+                weights = step * math.sin(bpi) / (4.0 * bpi * (np.sinh(u / 2.0) ** 2
+                                                               + math.cos(bpi / 2.0) ** 2))
+                rates = np.exp(u / p.beta)
         psi[live] = np.concatenate([chunk for _, chunk in _psi_chunks(rates, weights, a)])
     # the weights sum to 1 only up to rounding; Psi never exceeds 1, nor rises
     psi[:] = np.minimum.accumulate(np.minimum(psi, 1.0))

@@ -39,8 +39,8 @@ class SpectrumGrid:
     def from_arrays(cls, lambdas, masses) -> "SpectrumGrid":
         lambdas = np.asarray(lambdas, dtype=float)
         masses = np.asarray(masses, dtype=float)
-        if lambdas.size != masses.size:
-            raise ValueError("lambdas and masses must have the same length")
+        if lambdas.ndim != 1 or masses.shape != lambdas.shape:
+            raise ValueError("lambdas and masses must be 1-d arrays of the same length")
         with np.errstate(over="ignore"):  # a total past the float range is inf
             total = float(masses.sum())
         return cls(lambdas=lambdas, masses=masses, total_mass=total)
@@ -60,8 +60,7 @@ class SpectrumGrid:
         """Mean rate sum(lambda*g)/sum(g), the recovery diagnostic; nan where
         the masses sum to 0, and inf, 0 or nan where a sum passes the float range."""
         with np.errstate(over="ignore", invalid="ignore"):
-            total = self.masses.sum()
-            return float(np.dot(self.lambdas, self.masses) / total) if total else math.nan
+            return float(np.dot(self.lambdas, self.masses) / (self.total_mass or math.nan))
 
 
 @dataclass(frozen=True)
@@ -99,15 +98,17 @@ def _records(K, psi) -> tuple[KernelMatrix, SurvivalCurve]:
 
 
 def eval_objective(K, g, psi, mu: float) -> float:
-    """Regularized least-squares functional ||Kg - Psi||^2 + mu*||g||^2."""
+    """Regularized least-squares functional ||Kg - Psi||^2 + mu*||g||^2, with no
+    warning: inf past the float range, nan where terms of K g past it cancel."""
     K, psi = _records(K, psi)
     g = np.asarray(g, dtype=float)
     if K.entries.shape[1] != g.size:
         raise ValueError(f"dimension mismatch: K is {K.entries.shape}, g has {g.size}")
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
-    r = K.entries @ g - psi.psi
-    return float(r @ r + mu * (g @ g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = K.entries @ g - psi.psi
+        return float(r @ r + (mu * (g @ g) if mu else 0.0))
 
 
 def solve_tikhonov(K, psi, mu: float) -> TikhonovSolution:
@@ -139,6 +140,11 @@ def sweep_mu(K, psi, mus) -> Sweep:
     n_eff = max(psi.n_source, 1)
 
     U, s, Vt = np.linalg.svd(K.entries, full_matrices=False)
+    # an overflowed s^2 + mu would zero a filter factor that is about 1/s
+    top = float(s.max(initial=0.0))
+    if not math.isfinite(top * top + float(mus.max())):
+        raise ValueError(f"K's largest singular value {top:g} squared, plus mu, "
+                         "passes the float range")
     c = U.T @ psi.psi
 
     def solve(mu) -> TikhonovSolution:

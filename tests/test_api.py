@@ -20,10 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectrakit
-from spectrakit import (DeltaComb, DurationSeries, MlParams, SpectrumGrid, assemble_kernel,
-                        comb_survival, conditioning_ratio, default_delta_t_grid,
-                        empirical_survival, estimate_h, fit_comb, ks_pvalue, ml_survival,
-                        sweep_delta_t, sweep_mu)
+from spectrakit import (DeltaComb, DurationSeries, MixtureSpec, MlParams, SpectrumGrid,
+                        assemble_kernel, comb_survival, conditioning_ratio,
+                        default_delta_t_grid, empirical_survival, estimate_h, eval_objective,
+                        fit_comb, gen_mixture, ks_pvalue, ml_survival, sweep_delta_t,
+                        sweep_mu)
 from spectrakit.delta_comb import write_comb_csv, write_delta_t_sweep_csv
 from spectrakit.svgplot import line_plot_svg
 from spectrakit.tikhonov import write_mu_sweep_csv, write_spectrum_csv
@@ -98,21 +99,28 @@ def _returned(build):
        terms=st.lists(st.tuples(st.floats(1e-3, 1.0), SPANS), min_size=1, max_size=4),
        xy=st.lists(st.tuples(st.floats(-1e308, 1e308), st.floats(-1e308, 1e308)),
                    min_size=1, max_size=6),
-       log_x=st.booleans(), log_y=st.booleans())
+       log_x=st.booleans(), log_y=st.booleans(), two_d=st.booleans())
 def test_curve_builders_and_plot_return_or_raise_value_error(
-        beta, gamma, taus, ordered, values, terms, xy, log_x, log_y):
+        beta, gamma, taus, ordered, values, terms, xy, log_x, log_y, two_d):
     # a grid drawn as it comes is mostly refused, so most are made valid first
     taus = np.unique(np.abs(taus)) if ordered else np.array(taus)
     weights, rates = np.array(terms).T
-    comb = DeltaComb(weights=weights / weights.sum(), rates=rates, m=rates.size,
+    weights = weights / weights.sum()
+    comb = DeltaComb(weights=weights, rates=rates, m=rates.size,
                      delta_t=1.0, window_counts=np.ones(rates.size, dtype=int),
                      window_sums=1.0 / rates)
+    # two_d: the builders' grid and the mixture's arrays are 1 x k, and refused
+    grid, terms = (taus[None], np.array([weights, rates])[:, None]) if two_d else (
+        taus, (weights, rates))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ml = _returned(lambda: ml_survival(MlParams(beta, gamma), taus))
-        curves = [ml, _returned(lambda: comb_survival(comb, taus)),
+        spec = _returned(lambda: MixtureSpec(*terms))
+        if spec is not None:
+            _returned(lambda: gen_mixture(spec, len(values), 0))
+        ml = _returned(lambda: ml_survival(MlParams(beta, gamma), grid))
+        curves = [ml, _returned(lambda: comb_survival(comb, grid)),
                   _returned(lambda: empirical_survival(DurationSeries.from_values(values),
-                                                       taus))]
+                                                       grid))]
         plotted = [(c.taus, c.psi, "curve") for c in curves if c is not None]
         plotted.append((*np.array(xy).T, "drawn"))
         if ordered and not log_x:
@@ -126,6 +134,7 @@ def test_curve_builders_and_plot_return_or_raise_value_error(
     if ml is not None:
         assert np.all((ml.psi >= 0) & (ml.psi <= 1)) and np.all(np.diff(ml.psi) <= 0)
         assert np.all(ml.psi[ml.taus == 0] == 1)
+    assert not two_d or all(c is None for c in (spec, *curves))
 
 
 @settings(max_examples=100, deadline=None)
@@ -134,9 +143,14 @@ def test_curve_builders_and_plot_return_or_raise_value_error(
        psi=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
        mus=st.lists(SPANS, min_size=1, max_size=3),
        spectrum=st.lists(st.tuples(SPANS, st.floats(-1e308, 1e308)), min_size=1, max_size=4),
-       d=st.floats(0.0, 1.0) | SPANS, n_eff=st.integers(0, 10 ** 18))
+       d=st.floats(0.0, 1.0) | SPANS, n_eff=st.integers(0, 10 ** 400),
+       entries=st.lists(st.floats(-1e308, 1e308) | SPANS, min_size=16, max_size=16),
+       g=st.lists(st.floats(-1e308, 1e308), min_size=4, max_size=4), two_d=st.booleans())
 def test_numerics_and_writers_return_or_raise_value_error(
-        values, delta_t, taus, h, n, psi, mus, spectrum, d, n_eff):
+        values, delta_t, taus, h, n, psi, mus, spectrum, d, n_eff, entries, g, two_d):
+    # two_d: the spectrum's arrays and psi are 1 x k, and refused
+    lambdas, masses = np.array(spectrum).T[:, None] if two_d else np.array(spectrum).T
+    psi = np.array(psi[:n])[None] if two_d else psi[:n]
     out = io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -153,16 +167,25 @@ def test_numerics_and_writers_return_or_raise_value_error(
             if combs is not None:
                 combs.pick.rebuilt
                 write_delta_t_sweep_csv(combs.results, out)
-        spectra = [SpectrumGrid.from_arrays(*np.array(spectrum).T)]
+        spectra = [_returned(lambda: SpectrumGrid.from_arrays(lambdas, masses))]
         kernel = _returned(lambda: assemble_kernel(h, n))
         if kernel is not None:
             conditioning_ratio(kernel)
-            solutions = _returned(lambda: sweep_mu(kernel, psi[:n], mus))
+            solutions = _returned(lambda: sweep_mu(kernel, psi, mus))
             if solutions is not None:
                 solutions.pick.rebuilt
                 write_spectrum_csv(solutions.pick.spectrum, out)
                 write_mu_sweep_csv(solutions.results, out)
                 spectra += [s.spectrum for s in solutions.results]
-        for grid in spectra:
+        # a plain K: entries and g up to 1e308
+        plain = np.reshape(entries[:n * n], (n, n))
+        for mu in (0.0, mus[0]):
+            _returned(lambda: eval_objective(plain, g[:n], psi, mu))
+        solutions = _returned(lambda: sweep_mu(plain, psi, mus))
+        if solutions is not None:
+            solutions.pick.rebuilt
+            spectra += [s.spectrum for s in solutions.results]
+        assert not two_d or spectra[0] is None
+        for grid in filter(None, spectra):
             grid.total_mass, grid.negative_mass, grid.negative_count, grid.mass_centroid
         _returned(lambda: ks_pvalue(d, n_eff))

@@ -598,8 +598,21 @@ def test_oversize_sizes_are_refused_up_front(tmp_path, capsys, argv, message):
     (["gen", "--ml", "--beta", "0.01", "--n", "5000"], None,
      "error: beta = 0.01 is too small: the draw's factor "
      "(sin b pi / tan b pi V - cos b pi)^(1/b) overflows"),
+    # numpy would warn while building these ranges
+    (["survival", "--grid=-1e308:1e308:3,lin"], ["1", "2", "3"],
+     "error: range '-1e308:1e308:3' must have finite endpoints and a finite span"),
+    (["comb", "--dt", "1:inf:3"], ["1", "2", "3"],
+     "error: range '1:inf:3' must have finite endpoints and a finite span"),
+    (["tikhonov", "--mu", "1e-6:inf:5"], ["1", "2", "3"],
+     "error: range '1e-6:inf:5' must have finite endpoints and a finite span"),
+    (["comb", "--grid", "inf:1:3"], ["1", "2", "3"],
+     "error: range 'inf:1:3' must have finite endpoints and a finite span"),
+    (["survival", "--grid", "nan:1:3,lin"], ["1", "2", "3"],
+     "error: range 'nan:1:3' must have finite endpoints and a finite span"),
 ], ids=["survival-sum", "comb-sum", "tikhonov-sum", "comb-dt-grid", "tikhonov-dt-grid",
-        "comb-subnormal", "timestamps-diff", "gen-exp", "gen-ml", "gen-ml-beta"])
+        "comb-subnormal", "timestamps-diff", "gen-exp", "gen-ml", "gen-ml-beta",
+        "survival-lin-span", "comb-dt-inf", "tikhonov-mu-inf", "comb-grid-inf",
+        "survival-grid-nan"])
 def test_extreme_durations_end_in_one_error_line(tmp_path, capsys, argv, lines, message):
     # pytest turns any numpy warning on the way into a failure
     if lines is not None:
@@ -676,12 +689,16 @@ _fuzz_ends = st.one_of(
     st.sampled_from(["\n", "\r\n", "\r"]).map(lambda end: [end]),
     st.lists(st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
                               "\x85", "\u2028", "\u2029"]), min_size=1, max_size=3))
-# grids and sweeps: one-point, reversed, and at 1e-300, past 2**53 and 1e308
+# grids and sweeps: one-point, reversed, at 1e-300, past 2**53 and 1e308, and
+# ranges with an inf or nan end or a span past the float range (no value starts
+# with "-", which argparse would read as an option)
 _fuzz_grid = st.sampled_from(["5", "3,2,1", "1:10:4,lin", "10:1:4,lin", "1e-300", "1e16",
-                              "1e300", "1e308", "1e-300:1e300:5", "0.5,1e308", "1:100:7"])
+                              "1e300", "1e308", "1e-300:1e300:5", "0.5,1e308", "1:100:7",
+                              "1:inf:3", "1e308:-1e308:3,lin", "nan:1:3"])
 _fuzz_dt = st.sampled_from(["1", "5", "1e-300", "1e300", "1e-300:1e300:4", "10:1:3",
-                            "0.5:50:6", "2,2"])
-_fuzz_mu = st.sampled_from(["1e-6:1:5", "1", "1e-300", "1e300", "1,1e-3", "1e-300:1e300:4"])
+                            "0.5:50:6", "2,2", "1:inf:3"])
+_fuzz_mu = st.sampled_from(["1e-6:1:5", "1", "1e-300", "1e300", "1,1e-3", "1e-300:1e300:4",
+                            "1e-6:inf:5"])
 
 
 def _maybe(flag, values=None):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spectrakit import (DurationSeries, MlParams, assemble_kernel, comb_survival,
@@ -180,6 +180,8 @@ def test_fit_comb_equals_sequential_scan_on_long_windows():
 @example(1000, 28, 60.0)
 def test_fit_comb_equals_sequential_scan_on_rounded_durations(n, seed, delta_t):
     values = np.round(np.random.default_rng(seed).exponential(8.85, n), 2)
+    # a draw rounds to 0.00 about once in 1,800, and a series of none is refused
+    assume(np.any(values > 0))
     assert_matches_oracle(values[values > 0], delta_t)
 
 

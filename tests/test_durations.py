@@ -316,6 +316,11 @@ def test_a_grid_falling_across_the_float_range_is_refused_quietly():
         SurvivalCurve(taus=[1e308, -8e307], psi=[1.0, 1.0])
 
 
+def test_psi_of_another_shape_than_the_grid_is_refused():
+    with pytest.raises(ValueError, match="taus and psi must be 1-d arrays of the same length"):
+        SurvivalCurve(taus=[1.0, 2.0], psi=[[1.0, 0.5]])
+
+
 def test_negative_tau_is_refused_by_the_curve():
     with pytest.raises(ValueError, match="tau grid values must be >= 0"):
         SurvivalCurve(taus=[-1.0, 1.0], psi=[1.0, 0.5])

@@ -97,6 +97,8 @@ def test_pvalue_bounds_and_validation():
         ks_pvalue(1.1, 10)
     with pytest.raises(ValueError):
         ks_pvalue(0.5, 0)
+    with pytest.raises(ValueError, match="n_eff must be at most"):
+        ks_pvalue(0.5, 10**400)  # past the float range, where math.sqrt raises OverflowError
 
 
 def test_compare_report():

@@ -30,8 +30,10 @@ def test_mixture_spec_validation():
         MixtureSpec(weights=[1.0], rates=[-1.0])
     with pytest.raises(ValueError):
         MixtureSpec(weights=[0.5, 0.5], rates=[1.0])
+    # the last two, 2-d, were kept, and gen_mixture then raised IndexError
     for weights, rates in (([0.5, 0.5], [nan, 1.0]), ([0.5, 0.5], [1.0, inf]),
-                           ([nan], [1.0]), ([inf, 0.5], [1.0, 1.0])):
+                           ([nan], [1.0]), ([inf, 0.5], [1.0, 1.0]),
+                           ([[0.5, 0.5]], [[1.0, 2.0]]), ([0.5, 0.5], [[1.0, 2.0]])):
         with pytest.raises(ValueError):
             MixtureSpec(weights=weights, rates=rates)
 

@@ -316,6 +316,33 @@ def test_sweep_mu_refuses_a_non_finite_rebuilt_curve():
         sweep_mu(np.diag([1.0, 1e-160]), np.array([1e300, 1e300]), [5e-324])
 
 
+@pytest.mark.parametrize("solve", [
+    lambda: solve_tikhonov(np.full((3, 3), 1e160), [1.0, 0.5, 0.2], 1.0),
+    lambda: sweep_mu(np.diag([1e200, 1.0]), [1.0, 0.5], [0.1]),
+], ids=["solve-full", "sweep-diag"])
+def test_singular_values_squared_past_the_float_range_are_refused(solve):
+    # an overflowed s * s + mu would zero the filter factor s / (s^2 + mu),
+    # about 1/s; pytest turns the overflow warning into a failure
+    with pytest.raises(ValueError, match="squared, plus mu, passes the float range"):
+        solve()
+
+
+def test_objective_past_the_float_range_is_inf_without_a_warning():
+    # pytest turns numpy's matmul overflow warning into a failure
+    assert eval_objective(np.array([[1e308]]), [1e308], [1.0], 1.0) == np.inf
+    assert eval_objective(np.eye(1), [1e200], [1.0], 1.0) == np.inf
+    # at mu = 0 an overflowed ||g||^2 adds nothing, where 0 * inf would be nan
+    assert eval_objective(np.array([[1e-200]]), [1e200], [1.0], 0.0) == 0.0
+
+
+def test_spectrum_arrays_must_be_1_d():
+    # the (1, 2) arrays were kept, and mass_centroid's dot product then failed
+    with pytest.raises(ValueError, match="must be 1-d arrays of the same length"):
+        SpectrumGrid.from_arrays([[1.0, 2.0]], [[0.5, 0.5]])
+    with pytest.raises(ValueError, match="must be 1-d arrays of the same length"):
+        SpectrumGrid.from_arrays([1.0, 2.0], [[0.5, 0.5]])
+
+
 def test_negative_mass_is_never_negative_zero():
     assert str(SpectrumGrid.from_arrays([1.0, 2.0], [0.5, 0.0]).negative_mass) == "0.0"
     assert str(SpectrumGrid.from_arrays([1.0], [-0.0]).negative_mass) == "0.0"
